@@ -458,9 +458,17 @@ impl AuditPipeline {
         })
     }
 
-    /// The producer handle the reference monitor records into.
+    /// A clonable producer handle, for producers that outlive a borrow
+    /// of the pipeline.
     pub fn sink(&self) -> AuditSink {
         self.sink.clone()
+    }
+
+    /// Offers one record to the drainer through the pipeline's own
+    /// handle (see [`AuditSink::offer`]). The reference monitor records
+    /// into this.
+    pub fn offer(&self, record: AuditRecord) -> bool {
+        self.sink.offer(record)
     }
 
     /// The configured queue capacity.

@@ -128,7 +128,7 @@ fn time_checks(
     let start = Instant::now();
     for _ in 0..iters {
         if uncached {
-            black_box(monitor.check_uncached(black_box(subject), path, AccessMode::Execute));
+            black_box(monitor.check_unmemoized(black_box(subject), path, AccessMode::Execute));
         } else {
             black_box(monitor.check(black_box(subject), path, AccessMode::Execute));
         }
@@ -200,7 +200,7 @@ fn bench(c: &mut Criterion) {
             &(),
             |b, ()| {
                 b.iter(|| {
-                    black_box(cold.check_uncached(
+                    black_box(cold.check_unmemoized(
                         black_box(&subject_u),
                         &path,
                         AccessMode::Execute,

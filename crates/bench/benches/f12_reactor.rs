@@ -34,7 +34,7 @@ use extsec_core::{
     Protection, ReferenceMonitor, SecurityClass, Subject,
 };
 use extsec_server::proto::{self, BatchItem, Request, Response, MAX_FRAME};
-use extsec_server::{Client, ClientConfig, Server, ServerConfig};
+use extsec_server::{read_response, Client, ClientConfig, Server, ServerConfig};
 use std::hint::black_box;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -127,9 +127,7 @@ fn round(socks: &mut [TcpStream], frame: &[u8], batch: usize, verify: bool) {
         proto::write_frame(stream, frame).unwrap();
     }
     for stream in socks.iter_mut() {
-        let reply = proto::read_frame(stream, MAX_FRAME).unwrap();
-        let response = Response::decode(reply.opcode, &reply.payload).unwrap();
-        match response {
+        match read_response(stream, MAX_FRAME).unwrap() {
             Response::Batch(decisions) => {
                 if verify {
                     assert_eq!(decisions.len(), batch);

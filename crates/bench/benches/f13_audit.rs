@@ -95,10 +95,10 @@ fn check_world(audit: bool) -> (Arc<ReferenceMonitor>, Subject) {
 }
 
 /// Mean ns per ring append on a bare [`AuditLog`].
-fn time_ring_append(iters: u64, with_pipeline: Option<&AuditPipeline>) -> f64 {
+fn time_ring_append(iters: u64, with_pipeline: Option<Arc<AuditPipeline>>) -> f64 {
     let log = AuditLog::new();
     if let Some(pipeline) = with_pipeline {
-        log.set_pipeline(pipeline.sink());
+        log.attach_pipeline(pipeline);
     }
     let subject = Subject::new(
         extsec_core::PrincipalId::from_raw(7),
@@ -177,11 +177,11 @@ fn report_table(append_iters: u64, check_iters: u64, drain_events: u64) {
     // Append-layer rows.
     let ring = time_ring_append(append_iters, None);
     let chained = time_chained_append(append_iters);
-    let attached_pipeline = AuditPipeline::in_memory(PipelineConfig {
+    let attached_pipeline = Arc::new(AuditPipeline::in_memory(PipelineConfig {
         queue_capacity: 1 << 16,
         ..PipelineConfig::default()
-    });
-    let ring_offer = time_ring_append(append_iters, Some(&attached_pipeline));
+    }));
+    let ring_offer = time_ring_append(append_iters, Some(Arc::clone(&attached_pipeline)));
     attached_pipeline.flush().unwrap();
     println!("{:<34} {:>10.0} ns", "ring append", ring);
     println!(

@@ -1,14 +1,21 @@
 //! Auditing of security-relevant events.
 //!
 //! The paper lists "the auditing of security relevant system events" among
-//! the aspects a complete security model must eventually cover. The
-//! [`AuditLog`] is a bounded in-memory ring of [`AuditEvent`]s; an optional
-//! crossbeam channel sink lets a deployment stream events to an external
-//! consumer without the monitor ever blocking on it, and an optional
-//! [`AuditSink`](extsec_auditlog::AuditSink) feeds the tamper-evident
-//! persistent pipeline (`extsec-auditlog`) — one non-blocking `try_send`
-//! per recorded decision, shed (and counted, and later declared as a
-//! chained gap) when the drainer falls behind.
+//! the aspects a complete security model must eventually cover. Every
+//! audited decision goes through one call, [`AuditLog::record`], which
+//! writes it to two stores with different jobs:
+//!
+//! * the **ring** — a bounded in-memory log of full [`AuditEvent`]s
+//!   (deny reasons included), always on, readable right after a check
+//!   through [`AuditLog::events`] / [`AuditLog::denials`];
+//! * the **chain** — the tamper-evident persistent pipeline
+//!   ([`AuditPipeline`], `extsec-auditlog`), when one is attached with
+//!   [`AuditLog::attach_pipeline`]. Each record is one non-blocking
+//!   offer of a compact [`AuditRecord`]; overflow is shed (and counted,
+//!   and later declared as a chained gap) when the drainer falls behind.
+//!
+//! Both stores share one sequence counter, so a ring event and its
+//! persisted record carry the same sequence number.
 //!
 //! The ring is *sharded*: events land in one of a fixed set of per-shard
 //! rings (each behind its own small mutex), picked per recording thread,
@@ -17,21 +24,23 @@
 //! at record time, and [`AuditLog::events`] merges the shards back into
 //! sequence order, so observers see the same ordered log a single ring
 //! would have produced. The total retained count is bounded by the
-//! configured capacity with a shared counter: a recording thread that
-//! pushes the log over capacity evicts the oldest events of its own shard,
-//! which keeps eviction lock-local while still bounding the whole log.
+//! configured capacity with a shared counter: a record that pushes the
+//! log over capacity evicts one older event — the front of its own shard
+//! while that shard holds anything besides the new event, otherwise the
+//! oldest front among the other shards, visited one lock at a time. A
+//! record never evicts itself.
 
 use crate::decision::{Decision, DenyReason};
 use crate::subject::{Subject, ThreadId};
-use crossbeam::channel::{Sender, TrySendError};
 use extsec_acl::{AccessMode, PrincipalId};
-use extsec_auditlog::{AuditRecord, AuditSink, Outcome};
+use extsec_auditlog::{AuditPipeline, AuditRecord, Outcome};
 use extsec_namespace::NsPath;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One audited access decision.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -87,21 +96,8 @@ pub struct AuditStats {
     pub retained: usize,
     /// Events evicted from the ring to stay under capacity.
     pub ring_dropped: u64,
-    /// Events the optional channel sink refused because it was at
-    /// capacity (backpressure — the consumer exists but lags).
-    pub sink_full: u64,
-    /// Events the optional channel sink refused because every receiver
-    /// was gone (a dead consumer — very different operationally).
-    pub sink_disconnected: u64,
     /// Per-shard retained/dropped breakdown.
     pub shards: Vec<AuditShardStats>,
-}
-
-impl AuditStats {
-    /// Total events the channel sink refused, either way.
-    pub fn sink_dropped(&self) -> u64 {
-        self.sink_full + self.sink_disconnected
-    }
 }
 
 /// One shard: its own ring behind its own lock, plus its eviction count.
@@ -142,16 +138,12 @@ pub struct AuditLog {
     seq: AtomicU64,
     /// Events retained across all shards; the capacity bound.
     retained: AtomicUsize,
-    sink_full: AtomicU64,
-    sink_disconnected: AtomicU64,
-    /// Fast-path flag so `record` never touches the sink mutex while no
-    /// sink is attached.
-    sink_attached: AtomicBool,
-    sink: Mutex<Option<Sender<AuditEvent>>>,
-    /// Fast-path flag for the persistent pipeline, same discipline as
-    /// `sink_attached`.
+    /// Fast-path flag so `record` never touches the pipeline mutex while
+    /// no pipeline is attached.
     pipeline_attached: AtomicBool,
-    pipeline: Mutex<Option<AuditSink>>,
+    /// The attached persistent pipeline — the one slot the check path,
+    /// the admin calls and the telemetry source all read.
+    pipeline: Mutex<Option<Arc<AuditPipeline>>>,
 }
 
 impl AuditLog {
@@ -199,40 +191,32 @@ impl AuditLog {
             capacity,
             seq: AtomicU64::new(0),
             retained: AtomicUsize::new(0),
-            sink_full: AtomicU64::new(0),
-            sink_disconnected: AtomicU64::new(0),
-            sink_attached: AtomicBool::new(false),
-            sink: Mutex::new(None),
             pipeline_attached: AtomicBool::new(false),
             pipeline: Mutex::new(None),
         }
     }
 
-    /// Attaches a channel sink; every subsequent event is also sent there.
-    /// A full/disconnected sink never blocks the monitor — the send is
-    /// best-effort and failures are counted in [`AuditLog::dropped`].
-    pub fn set_sink(&self, sink: Sender<AuditEvent>) {
-        *self.sink.lock() = Some(sink);
-        self.sink_attached.store(true, Ordering::Release);
-    }
-
-    /// Attaches the persistent pipeline's producer handle; every
-    /// subsequent event is also offered there (one non-blocking
+    /// Attaches the persistent pipeline, replacing any attached before:
+    /// every subsequent event is also offered there (one non-blocking
     /// `try_send`; overflow sheds, is counted by the pipeline, and later
-    /// becomes a tamper-evident gap entry in the chained log).
-    pub fn set_pipeline(&self, sink: AuditSink) {
-        *self.pipeline.lock() = Some(sink);
+    /// becomes a tamper-evident gap entry in the chained log). The
+    /// sequence counter first advances to the pipeline's `next_seq`, so
+    /// sequence numbers stay globally monotone across restarts instead
+    /// of replaying persisted ones.
+    pub fn attach_pipeline(&self, pipeline: Arc<AuditPipeline>) {
+        let mut slot = self.pipeline.lock();
+        self.seq.fetch_max(pipeline.next_seq(), Ordering::Relaxed);
+        *slot = Some(pipeline);
         self.pipeline_attached.store(true, Ordering::Release);
     }
 
-    /// Advances the sequence counter to at least `seq`. Called when
-    /// attaching a recovered pipeline so sequence numbers stay globally
-    /// monotone across restarts instead of replaying persisted ones.
-    pub fn advance_seq_to(&self, seq: u64) {
-        self.seq.fetch_max(seq, Ordering::Relaxed);
+    /// The attached persistent pipeline, if any.
+    pub fn pipeline(&self) -> Option<Arc<AuditPipeline>> {
+        self.pipeline.lock().clone()
     }
 
-    /// Records a decision; returns the event's sequence number.
+    /// Records a decision in the ring and, when one is attached, offers
+    /// it to the pipeline; returns the event's sequence number.
     pub fn record(
         &self,
         subject: &Subject,
@@ -242,18 +226,9 @@ impl AuditLog {
         generation: u64,
     ) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let event = AuditEvent {
-            seq,
-            principal: subject.principal,
-            thread: subject.thread,
-            path: path.clone(),
-            mode,
-            decision: decision.clone(),
-            generation,
-        };
         if self.pipeline_attached.load(Ordering::Acquire) {
-            if let Some(sink) = self.pipeline.lock().as_ref() {
-                sink.offer(AuditRecord {
+            if let Some(pipeline) = self.pipeline.lock().as_ref() {
+                pipeline.offer(AuditRecord {
                     seq,
                     principal: subject.principal.raw(),
                     generation,
@@ -263,34 +238,68 @@ impl AuditLog {
                 });
             }
         }
-        if self.sink_attached.load(Ordering::Acquire) {
-            if let Some(sink) = self.sink.lock().as_ref() {
-                match sink.try_send(event.clone()) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        self.sink_full.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        self.sink_disconnected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        let shard = &self.shards[shard_hint() & self.shard_mask];
+        let event = AuditEvent {
+            seq,
+            principal: subject.principal,
+            thread: subject.thread,
+            path: path.clone(),
+            mode,
+            decision: decision.clone(),
+            generation,
+        };
+        let own = shard_hint() & self.shard_mask;
+        let shard = &self.shards[own];
         let mut ring = shard.ring.lock();
         ring.push_back(event);
         self.retained.fetch_add(1, Ordering::Relaxed);
-        // Over capacity: evict the oldest events of *this* shard (the lock
-        // we already hold). Each record adds one and removes at least one
-        // while over, so the total stays bounded by the capacity.
-        while self.retained.load(Ordering::Relaxed) > self.capacity {
-            if ring.pop_front().is_none() {
-                break;
-            }
-            self.retained.fetch_sub(1, Ordering::Relaxed);
-            shard.dropped.fetch_add(1, Ordering::Relaxed);
+        if !self.claim_eviction() {
+            return seq;
         }
+        // Over capacity: evict one older event. The front of this shard
+        // (the lock already held) when it holds more than the new event…
+        if ring.len() > 1 {
+            ring.pop_front();
+            shard.dropped.fetch_add(1, Ordering::Relaxed);
+            return seq;
+        }
+        // …otherwise the oldest front elsewhere, one lock at a time.
+        drop(ring);
+        self.evict_oldest_except(own);
         seq
+    }
+
+    /// Takes one unit off the retained count if the log is over capacity;
+    /// the caller then owes exactly one eviction. Every record claims at
+    /// most one after its own push, so the total settles at or below the
+    /// capacity.
+    fn claim_eviction(&self) -> bool {
+        self.retained
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n > self.capacity).then(|| n - 1)
+            })
+            .is_ok()
+    }
+
+    /// Pays a claimed eviction from the shard (other than `own`) whose
+    /// front event is oldest. Holds at most one shard lock at a time; if
+    /// every candidate emptied meanwhile (a racing `clear`), the claim is
+    /// returned.
+    fn evict_oldest_except(&self, own: usize) {
+        loop {
+            let oldest = (0..self.shards.len())
+                .filter(|&i| i != own)
+                .filter_map(|i| self.shards[i].ring.lock().front().map(|e| (e.seq, i)))
+                .min();
+            let Some((_, victim)) = oldest else {
+                self.retained.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            let shard = &self.shards[victim];
+            if shard.ring.lock().pop_front().is_some() {
+                shard.dropped.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        }
     }
 
     /// Returns the number of retained events.
@@ -303,15 +312,12 @@ impl AuditLog {
         self.len() == 0
     }
 
-    /// Returns the number of events dropped (from the ring or the sink).
+    /// Returns the number of events evicted from the ring.
     pub fn dropped(&self) -> u64 {
-        let ring: u64 = self
-            .shards
+        self.shards
             .iter()
             .map(|s| s.dropped.load(Ordering::Relaxed))
-            .sum();
-        ring + self.sink_full.load(Ordering::Relaxed)
-            + self.sink_disconnected.load(Ordering::Relaxed)
+            .sum()
     }
 
     /// Returns the retained events merged across shards into sequence
@@ -325,11 +331,6 @@ impl AuditLog {
             .collect();
         events.sort_unstable_by_key(|e| e.seq);
         events
-    }
-
-    /// Returns a snapshot of the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<AuditEvent> {
-        self.events()
     }
 
     /// Returns the retained events that were denials.
@@ -362,8 +363,6 @@ impl AuditLog {
             capacity: self.capacity,
             retained: shards.iter().map(|s| s.retained).sum(),
             ring_dropped: shards.iter().map(|s| s.dropped).sum(),
-            sink_full: self.sink_full.load(Ordering::Relaxed),
-            sink_disconnected: self.sink_disconnected.load(Ordering::Relaxed),
             shards,
         }
     }
@@ -418,7 +417,7 @@ mod tests {
             0,
         );
         assert!(b > a);
-        let events = log.snapshot();
+        let events = log.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].mode, AccessMode::Read);
         assert_eq!(events[1].mode, AccessMode::Write);
@@ -433,7 +432,7 @@ mod tests {
         }
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
-        let events = log.snapshot();
+        let events = log.events();
         assert_eq!(events[0].seq, 3);
         assert_eq!(events[1].seq, 4);
     }
@@ -471,7 +470,6 @@ mod tests {
         assert_eq!(stats.capacity, 2);
         assert_eq!(stats.retained, 2);
         assert_eq!(stats.ring_dropped, 3);
-        assert_eq!(stats.sink_dropped(), 0);
         assert_eq!(stats.shards.len(), 1, "tiny logs stay single-sharded");
         // Per-shard counters add up to the totals.
         assert_eq!(
@@ -519,30 +517,64 @@ mod tests {
         assert_eq!(denials[0].mode, AccessMode::Write);
     }
 
+    /// A record from a thread whose shard is empty evicts an older event
+    /// from another shard, never the event it just recorded.
     #[test]
-    fn sink_receives_events() {
-        let log = AuditLog::new();
-        let (tx, rx) = crossbeam::channel::unbounded();
-        log.set_sink(tx);
-        log.record(&subject(), &path(), AccessMode::Read, &Decision::Allow, 0);
-        let event = rx.try_recv().unwrap();
-        assert_eq!(event.mode, AccessMode::Read);
+    fn record_never_evicts_itself() {
+        let log = std::sync::Arc::new(AuditLog::new());
+        let s = subject();
+        for _ in 0..AuditLog::DEFAULT_CAPACITY {
+            log.record(&s, &path(), AccessMode::Read, &Decision::Allow, 0);
+        }
+        let newest = {
+            let log = std::sync::Arc::clone(&log);
+            std::thread::spawn(move || {
+                log.record(&subject(), &path(), AccessMode::Write, &Decision::Allow, 0)
+            })
+            .join()
+            .unwrap()
+        };
+        assert_eq!(newest, AuditLog::DEFAULT_CAPACITY as u64);
+        assert_eq!(log.len(), AuditLog::DEFAULT_CAPACITY);
+        assert_eq!(log.dropped(), 1);
+        let events = log.events();
+        assert_eq!(events.len(), AuditLog::DEFAULT_CAPACITY);
+        assert_eq!(events[0].seq, 1, "the oldest event is the one evicted");
+        assert_eq!(events.last().unwrap().seq, newest);
+        assert_eq!(events.last().unwrap().mode, AccessMode::Write);
     }
 
+    /// Threads overfilling the log together settle at exactly the
+    /// capacity, every eviction counted, each thread's last event kept.
     #[test]
-    fn full_sink_never_blocks() {
-        let log = AuditLog::new();
-        let (tx, _rx) = crossbeam::channel::bounded(1);
-        log.set_sink(tx);
-        let s = subject();
-        log.record(&s, &path(), AccessMode::Read, &Decision::Allow, 0);
-        // Second send fails (bounded channel full, receiver not draining)
-        // but record still succeeds.
-        log.record(&s, &path(), AccessMode::Read, &Decision::Allow, 0);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 1);
-        assert_eq!(log.stats().sink_full, 1);
-        assert_eq!(log.stats().sink_disconnected, 0);
+    fn concurrent_overflow_settles_at_capacity() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2000;
+        let log = std::sync::Arc::new(AuditLog::new());
+        let lasts: Vec<u64> = (0..THREADS)
+            .map(|_| {
+                let log = std::sync::Arc::clone(&log);
+                std::thread::spawn(move || {
+                    let s = subject();
+                    let mut last = 0;
+                    for _ in 0..PER_THREAD {
+                        last = log.record(&s, &path(), AccessMode::Read, &Decision::Allow, 0);
+                    }
+                    last
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .collect();
+        let total = THREADS * PER_THREAD;
+        assert_eq!(log.len(), AuditLog::DEFAULT_CAPACITY);
+        assert_eq!(log.dropped(), (total - AuditLog::DEFAULT_CAPACITY) as u64);
+        let events = log.events();
+        assert_eq!(events.len(), AuditLog::DEFAULT_CAPACITY);
+        for last in lasts {
+            assert!(events.iter().any(|e| e.seq == last), "#{last} was evicted");
+        }
     }
 
     #[test]

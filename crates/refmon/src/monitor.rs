@@ -159,25 +159,20 @@ impl MonitorBuilder {
             SecurityClass::bottom(),
         );
         let audit = Arc::new(AuditLog::new());
-        let audit_pipeline: Arc<Mutex<Option<Arc<AuditPipeline>>>> = Arc::new(Mutex::new(None));
         let telemetry = Telemetry::new();
         // Audit-chain health rides in every telemetry snapshot: the
         // source is pulled on the snapshotting thread, never on a check.
         telemetry.set_audit_source({
             let audit = Arc::clone(&audit);
-            let pipeline = Arc::clone(&audit_pipeline);
             Arc::new(move || {
                 let ring = audit.stats();
                 let mut snap = AuditSnapshot {
                     ring_capacity: ring.capacity as u64,
                     ring_retained: ring.retained as u64,
                     ring_dropped: ring.ring_dropped,
-                    sink_full: ring.sink_full,
-                    sink_disconnected: ring.sink_disconnected,
                     ..AuditSnapshot::default()
                 };
-                let pipeline = pipeline.lock().clone();
-                if let Some(pipeline) = pipeline {
+                if let Some(pipeline) = audit.pipeline() {
                     let stats = pipeline.stats();
                     snap.pipeline_attached = true;
                     snap.pipeline_enqueued = stats.enqueued;
@@ -206,7 +201,6 @@ impl MonitorBuilder {
             version: AtomicU64::new(0),
             id: next_monitor_id(),
             audit,
-            audit_pipeline,
             cache: DecisionCache::new(),
             telemetry,
             bundles: Mutex::new(BundleRegistry::default()),
@@ -233,13 +227,9 @@ pub struct ReferenceMonitor {
     version: AtomicU64,
     /// Process-unique monitor identity for the thread-local pins.
     id: u64,
+    /// The audit ring plus the attached persistent pipeline, if any.
+    /// Shared with the telemetry audit source (a `'static` closure).
     audit: Arc<AuditLog>,
-    /// The attached persistent audit pipeline, if any. Behind an `Arc`'d
-    /// mutex so the telemetry audit source (a `'static` closure) can
-    /// share the slot. Admin and snapshot paths only; the check path
-    /// reaches the pipeline through the `AuditSink` handle the ring
-    /// holds, never through this lock.
-    audit_pipeline: Arc<Mutex<Option<Arc<AuditPipeline>>>>,
     /// Memoized decisions, stamped with the policy generation. Mutators
     /// advance the generation inside the publish critical section and the
     /// new generation is stamped into the snapshot they publish, so a
@@ -402,18 +392,6 @@ impl ReferenceMonitor {
         })
     }
 
-    /// Checks without consulting or filling the decision cache — the
-    /// oracle the benchmarks compare the cached path against.
-    ///
-    /// This bypass is **not** part of the public surface: the one check
-    /// path is [`ReferenceMonitor::check`] /
-    /// [`MonitorView::check`]. It is only compiled under the
-    /// `bench-internals` feature, for the workspace's benchmark harness.
-    #[cfg(feature = "bench-internals")]
-    pub fn check_uncached(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
-        self.check_unmemoized(subject, path, mode)
-    }
-
     /// The cached check against one pinned snapshot.
     fn check_at(
         &self,
@@ -471,12 +449,7 @@ impl ReferenceMonitor {
                 decision
             }
         };
-        if state.config.audit {
-            let audit_t = self.telemetry.start();
-            self.audit
-                .record(subject, path, mode, &decision, state.generation.raw());
-            self.telemetry.finish(Stage::Audit, audit_t);
-        }
+        self.record_audit(state, subject, [(path, mode, &decision)], true);
         decision
     }
 
@@ -489,13 +462,32 @@ impl ReferenceMonitor {
         mode: AccessMode,
     ) -> Decision {
         let decision = Self::evaluate(state, subject, path, mode, &self.telemetry);
-        if state.config.audit {
-            let audit_t = self.telemetry.start();
-            self.audit
-                .record(subject, path, mode, &decision, state.generation.raw());
-            self.telemetry.finish(Stage::Audit, audit_t);
-        }
+        self.record_audit(state, subject, [(path, mode, &decision)], true);
         decision
+    }
+
+    /// The one place decisions reach the audit log: records each
+    /// `(path, mode, decision)` taken under `state`, when the snapshot's
+    /// config has auditing on. `timed` samples the whole call as one
+    /// [`Stage::Audit`] span — the check paths do, the admin paths do
+    /// not.
+    #[inline]
+    fn record_audit<'a>(
+        &self,
+        state: &State,
+        subject: &Subject,
+        decisions: impl IntoIterator<Item = (&'a NsPath, AccessMode, &'a Decision)>,
+        timed: bool,
+    ) {
+        if !state.config.audit {
+            return;
+        }
+        let audit_t = if timed { self.telemetry.start() } else { None };
+        for (path, mode, decision) in decisions {
+            self.audit
+                .record(subject, path, mode, decision, state.generation.raw());
+        }
+        self.telemetry.finish(Stage::Audit, audit_t);
     }
 
     /// Checks and converts to a `Result` in one step. Like
@@ -709,15 +701,12 @@ impl ReferenceMonitor {
             AccessMode::WriteAppend,
             &self.telemetry,
         );
-        if slot.config.audit {
-            self.audit.record(
-                subject,
-                parent,
-                AccessMode::WriteAppend,
-                &decision,
-                slot.generation.raw(),
-            );
-        }
+        self.record_audit(
+            &slot,
+            subject,
+            [(parent, AccessMode::WriteAppend, &decision)],
+            false,
+        );
         decision.into_result()?;
         slot.lattice.validate(&protection.label)?;
         // Insert into a private copy first; only a successful insert is
@@ -733,15 +722,12 @@ impl ReferenceMonitor {
     pub fn remove(&self, subject: &Subject, path: &NsPath) -> Result<(), MonitorError> {
         let mut slot = self.published.lock();
         let decision = Self::evaluate(&slot, subject, path, AccessMode::Delete, &self.telemetry);
-        if slot.config.audit {
-            self.audit.record(
-                subject,
-                path,
-                AccessMode::Delete,
-                &decision,
-                slot.generation.raw(),
-            );
-        }
+        self.record_audit(
+            &slot,
+            subject,
+            [(path, AccessMode::Delete, &decision)],
+            false,
+        );
         decision.into_result()?;
         let state = Arc::make_mut(&mut slot);
         state.namespace.remove(path)?;
@@ -769,15 +755,7 @@ impl ReferenceMonitor {
         path: &NsPath,
     ) -> Result<Vec<String>, MonitorError> {
         let decision = Self::evaluate(state, subject, path, AccessMode::List, &self.telemetry);
-        if state.config.audit {
-            self.audit.record(
-                subject,
-                path,
-                AccessMode::List,
-                &decision,
-                state.generation.raw(),
-            );
-        }
+        self.record_audit(state, subject, [(path, AccessMode::List, &decision)], false);
         decision.into_result()?;
         Ok(state.namespace.list(path)?)
     }
@@ -865,15 +843,12 @@ impl ReferenceMonitor {
             AccessMode::Administrate,
             &self.telemetry,
         );
-        if slot.config.audit {
-            self.audit.record(
-                subject,
-                path,
-                AccessMode::Administrate,
-                &decision,
-                slot.generation.raw(),
-            );
-        }
+        self.record_audit(
+            &slot,
+            subject,
+            [(path, AccessMode::Administrate, &decision)],
+            false,
+        );
         decision.into_result()?;
         let id = slot.namespace.resolve(path)?;
         let mut result: Option<Result<R, MonitorError>> = None;
@@ -1286,7 +1261,7 @@ impl ReferenceMonitor {
     }
 
     /// Returns the audit ring's saturation counters (per-shard retained
-    /// and dropped events, sink drops), the observability companion to
+    /// and evicted events), the observability companion to
     /// [`ReferenceMonitor::cache_stats`].
     pub fn audit_stats(&self) -> AuditStats {
         self.audit.stats()
@@ -1307,14 +1282,12 @@ impl ReferenceMonitor {
     /// monotone across restarts; any events recorded *before* attachment
     /// were never offered and simply become a declared gap.
     pub fn attach_audit_pipeline(&self, pipeline: Arc<AuditPipeline>) {
-        self.audit.advance_seq_to(pipeline.next_seq());
-        self.audit.set_pipeline(pipeline.sink());
-        *self.audit_pipeline.lock() = Some(pipeline);
+        self.audit.attach_pipeline(pipeline);
     }
 
     /// The attached persistent audit pipeline, if any.
     pub fn audit_pipeline(&self) -> Option<Arc<AuditPipeline>> {
-        self.audit_pipeline.lock().clone()
+        self.audit.pipeline()
     }
 
     /// Flushes the attached pipeline: blocks until everything offered so
@@ -1484,15 +1457,15 @@ impl ViewRef<'_> {
             .into_iter()
             .map(|d| d.expect("every batch item gets a decision"))
             .collect();
-        if state.config.audit {
-            let audit_t = tele.start();
-            for ((path, mode), decision) in items.iter().zip(&decisions) {
-                monitor
-                    .audit
-                    .record(subject, path, *mode, decision, state.generation.raw());
-            }
-            tele.finish(Stage::Audit, audit_t);
-        }
+        monitor.record_audit(
+            state,
+            subject,
+            items
+                .iter()
+                .zip(&decisions)
+                .map(|((path, mode), decision)| (path, *mode, decision)),
+            true,
+        );
         tele.finish(Stage::Check, whole);
         // Shadow mode: dual-evaluate every item of the batch against the
         // staged policy pinned in this same snapshot.
@@ -2163,6 +2136,55 @@ mod tests {
         monitor.set_config(config);
         monitor.check(&alice_s, &p("/svc/fs/read"), AccessMode::Execute);
         assert_eq!(monitor.audit().len(), 2);
+    }
+
+    /// The ring and the persisted chain are written by one record call
+    /// under one sequence counter, so every ring event has a persisted
+    /// twin carrying the same fields.
+    #[test]
+    fn ring_and_chain_agree() {
+        use extsec_auditlog::PipelineConfig;
+        let (monitor, alice, bob) = fixture();
+        monitor.attach_audit_pipeline(Arc::new(
+            AuditPipeline::in_memory(PipelineConfig::default()),
+        ));
+        let subjects = [low_subject(alice, &monitor), low_subject(bob, &monitor)];
+        std::thread::scope(|scope| {
+            for subject in &subjects {
+                let monitor = &monitor;
+                scope.spawn(move || {
+                    for _ in 0..50 {
+                        monitor.check(subject, &p("/svc/fs/read"), AccessMode::Execute);
+                        monitor.check(subject, &p("/svc/fs/read"), AccessMode::Write);
+                        monitor.check(subject, &p("/svc/fs/gone"), AccessMode::Read);
+                    }
+                });
+            }
+        });
+        monitor.audit_flush().unwrap();
+        let ring = monitor.audit().events();
+        assert_eq!(ring.len(), 300);
+        assert!(ring.iter().any(|e| e.decision.allowed()));
+        assert!(ring.iter().any(|e| !e.decision.allowed()));
+        let persisted = monitor
+            .audit_query(&AuditQuery {
+                limit: AuditQuery::MAX_LIMIT,
+                ..AuditQuery::default()
+            })
+            .unwrap();
+        assert!(persisted.gaps.is_empty(), "nothing was shed");
+        let by_seq: std::collections::HashMap<u64, _> =
+            persisted.records.iter().map(|r| (r.seq, r)).collect();
+        for event in &ring {
+            let record = by_seq
+                .get(&event.seq)
+                .unwrap_or_else(|| panic!("ring event #{} was not persisted", event.seq));
+            assert_eq!(record.principal, event.principal.raw());
+            assert_eq!(record.generation, event.generation);
+            assert_eq!(record.mode, event.mode as u8);
+            assert_eq!(record.outcome, crate::audit::outcome_of(&event.decision));
+            assert_eq!(record.path, event.path.to_string());
+        }
     }
 
     #[test]

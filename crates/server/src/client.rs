@@ -32,7 +32,7 @@
 //! [`ClientStats`].
 
 use crate::proto::{
-    self, BatchItem, ErrorCode, FrameScan, ProtoError, Request, Response, MAX_FRAME,
+    self, BatchItem, ErrorCode, FrameScan, ProtoError, Request, Response, HEADER_LEN, MAX_FRAME,
 };
 use extsec_acl::AccessMode;
 use extsec_namespace::NsPath;
@@ -121,6 +121,39 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
+    }
+}
+
+/// Reads one response frame off a blocking stream and decodes it — for
+/// callers that drive a raw socket by hand (adversarial tests, benches)
+/// instead of through a [`Client`]. Frames are recognized by
+/// [`proto::scan_frame`] alone, and no byte past the frame is read, so
+/// whatever follows (another frame, or the peer's EOF) stays on the
+/// stream for the caller to observe.
+pub fn read_response(stream: &mut impl Read, max_frame: u32) -> Result<Response, ClientError> {
+    let mut frame = Vec::with_capacity(HEADER_LEN);
+    loop {
+        let want = match proto::scan_frame(&frame, max_frame).map_err(ClientError::Proto)? {
+            FrameScan::Complete {
+                opcode,
+                payload_start,
+                consumed,
+            } => {
+                return Response::decode(opcode, &frame[payload_start..consumed])
+                    .map_err(ClientError::Proto)
+            }
+            // The version byte is validated before the rest of the header.
+            FrameScan::Partial if frame.is_empty() => 1,
+            FrameScan::Partial if frame.len() < HEADER_LEN => HEADER_LEN,
+            // A validated header: its last four bytes are the payload length.
+            FrameScan::Partial => {
+                let len = u32::from_le_bytes([frame[2], frame[3], frame[4], frame[5]]);
+                HEADER_LEN + len as usize
+            }
+        };
+        let have = frame.len();
+        frame.resize(want, 0);
+        stream.read_exact(&mut frame[have..])?;
     }
 }
 

@@ -69,10 +69,10 @@ mod reactor;
 pub mod server;
 pub mod telemetry;
 
-pub use client::{Client, ClientConfig, ClientError, ClientStats};
+pub use client::{read_response, Client, ClientConfig, ClientError, ClientStats};
 pub use proto::{
-    BatchItem, ErrorCode, Frame, FrameError, Opcode, ProtoError, Request, Response, MAX_AUDIT_GAPS,
-    MAX_AUDIT_RECORDS, MAX_BATCH, MAX_FRAME, VERSION,
+    BatchItem, ErrorCode, Opcode, ProtoError, Request, Response, MAX_AUDIT_GAPS, MAX_AUDIT_RECORDS,
+    MAX_BATCH, MAX_FRAME, VERSION,
 };
 pub use server::{Server, ServerConfig};
 pub use telemetry::{HistStat, OpcodeCount, ServerTelemetry, ServerTelemetrySnapshot};

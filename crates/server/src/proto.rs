@@ -50,7 +50,7 @@ use extsec_refmon::{
     QueryResult, Subject, ThreadId,
 };
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// The protocol version carried in every frame header. Version 2 added
 /// the policy-bundle admin frames; version 3 added the audit
@@ -1161,98 +1161,6 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------
 // Framed IO.
 
-/// One frame off the wire: the opcode byte and the raw payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Frame {
-    /// The opcode byte (request or response space).
-    pub opcode: u8,
-    /// The payload, at most the reader's frame limit.
-    pub payload: Vec<u8>,
-}
-
-/// What reading a frame can produce besides a frame.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The peer closed the connection cleanly between frames.
-    Eof,
-    /// The read timed out *between* frames — no bytes consumed; the
-    /// caller may poll a shutdown flag and try again.
-    Idle,
-    /// The transport failed (including timeouts mid-frame).
-    Io(io::Error),
-    /// The bytes violate the protocol.
-    Proto(ProtoError),
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Eof => write!(f, "connection closed"),
-            FrameError::Idle => write!(f, "idle (no frame before the read timeout)"),
-            FrameError::Io(e) => write!(f, "io: {e}"),
-            FrameError::Proto(e) => write!(f, "protocol: {e}"),
-        }
-    }
-}
-
-fn is_timeout(kind: io::ErrorKind) -> bool {
-    matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-/// Reads one frame.
-///
-/// The first header byte is read on its own so a clean close ([`Eof`])
-/// and an idle timeout ([`Idle`]) are distinguishable from a peer that
-/// dies mid-frame (an [`Io`] or [`Proto`] error). The length prefix is
-/// validated against `max_frame` before the payload is allocated.
-///
-/// [`Eof`]: FrameError::Eof
-/// [`Idle`]: FrameError::Idle
-/// [`Io`]: FrameError::Io
-/// [`Proto`]: FrameError::Proto
-pub fn read_frame(reader: &mut impl Read, max_frame: u32) -> Result<Frame, FrameError> {
-    let mut first = [0u8; 1];
-    loop {
-        match reader.read(&mut first) {
-            Ok(0) => return Err(FrameError::Eof),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(e.kind()) => return Err(FrameError::Idle),
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    if first[0] != VERSION {
-        return Err(FrameError::Proto(ProtoError::BadVersion(first[0])));
-    }
-    let mut rest = [0u8; 5];
-    read_exact_frame(reader, &mut rest)?;
-    let opcode = rest[0];
-    // An unknown opcode is refused at the header — before the payload is
-    // allocated or read — so it cannot silently desynchronize the stream.
-    if !known_opcode(opcode) {
-        return Err(FrameError::Proto(ProtoError::BadOpcode(opcode)));
-    }
-    let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]);
-    if len > max_frame {
-        return Err(FrameError::Proto(ProtoError::Oversize(u64::from(len))));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_frame(reader, &mut payload)?;
-    Ok(Frame { opcode, payload })
-}
-
-/// `read_exact` with mid-frame errors mapped: a peer that stops mid-frame
-/// is a protocol violation ([`ProtoError::Truncated`]), not a clean EOF.
-fn read_exact_frame(reader: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    match reader.read_exact(buf) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            Err(FrameError::Proto(ProtoError::Truncated))
-        }
-        Err(e) => Err(FrameError::Io(e)),
-    }
-}
-
 /// Writes one already-encoded frame.
 pub fn write_frame(writer: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     writer.write_all(frame)?;
@@ -1278,11 +1186,11 @@ pub enum FrameScan {
 }
 
 /// Scans the front of `buf` for one complete frame without consuming or
-/// copying anything — the non-blocking counterpart of [`read_frame`],
-/// with the identical validation order: version byte first (so a bad
-/// peer is refused on its first byte), then the opcode byte, then the
-/// length prefix against `max_frame` — all *before* the payload is
-/// awaited.
+/// copying anything — the one frame decoder, shared by the server's
+/// connections and every client. Validation runs in header order:
+/// version byte first (so a bad peer is refused on its first byte),
+/// then the opcode byte, then the length prefix against `max_frame` —
+/// all *before* the payload is awaited.
 pub fn scan_frame(buf: &[u8], max_frame: u32) -> Result<FrameScan, ProtoError> {
     let Some(&version) = buf.first() else {
         return Ok(FrameScan::Partial);
@@ -1294,8 +1202,8 @@ pub fn scan_frame(buf: &[u8], max_frame: u32) -> Result<FrameScan, ProtoError> {
         return Ok(FrameScan::Partial);
     }
     let opcode = buf[1];
-    // Same discipline as `read_frame`: an unknown opcode is refused at
-    // the header, before any payload byte is awaited.
+    // An unknown opcode is refused at the header, before any payload
+    // byte is awaited, so it cannot silently desynchronize the stream.
     if !known_opcode(opcode) {
         return Err(ProtoError::BadOpcode(opcode));
     }
@@ -1329,25 +1237,37 @@ mod tests {
         )
     }
 
+    /// Scans one whole frame: its opcode and payload. A second frame
+    /// pipelined behind it must not leak into the first.
+    fn scan_one(frame: &[u8]) -> (u8, Vec<u8>) {
+        let mut buf = frame.to_vec();
+        buf.extend_from_slice(&Request::Ping.encode());
+        match scan_frame(&buf, MAX_FRAME).unwrap() {
+            FrameScan::Complete {
+                opcode,
+                payload_start,
+                consumed,
+            } => {
+                assert_eq!(consumed, frame.len());
+                (opcode, buf[payload_start..consumed].to_vec())
+            }
+            FrameScan::Partial => panic!("a whole frame scanned as partial"),
+        }
+    }
+
     fn roundtrip_request(req: Request) {
         let frame = req.encode();
         assert_eq!(frame[0], VERSION);
-        let parsed = read_frame(&mut &frame[..], MAX_FRAME).unwrap();
-        assert_eq!(parsed.opcode, req.opcode() as u8);
-        assert_eq!(
-            Request::decode(parsed.opcode, &parsed.payload).unwrap(),
-            req
-        );
+        let (opcode, payload) = scan_one(&frame);
+        assert_eq!(opcode, req.opcode() as u8);
+        assert_eq!(Request::decode(opcode, &payload).unwrap(), req);
     }
 
     fn roundtrip_response(resp: Response) {
         let frame = resp.encode();
-        let parsed = read_frame(&mut &frame[..], MAX_FRAME).unwrap();
-        assert_eq!(parsed.opcode, resp.opcode());
-        assert_eq!(
-            Response::decode(parsed.opcode, &parsed.payload).unwrap(),
-            resp
-        );
+        let (opcode, payload) = scan_one(&frame);
+        assert_eq!(opcode, resp.opcode());
+        assert_eq!(Response::decode(opcode, &payload).unwrap(), resp);
     }
 
     /// One sample request per opcode, covering all of [`Opcode::ALL`].
@@ -1488,15 +1408,11 @@ mod tests {
 
     #[test]
     fn unknown_opcode_is_refused_at_the_header() {
-        // 0x3F names no request; 0xA0 names no response. Both scanners
+        // 0x3F names no request; 0xA0 names no response. The scanner
         // must answer with the typed error carrying the byte, before any
         // payload is read.
         for bad in [0x3Fu8, 0xA0] {
             let frame = frame(bad, &[]);
-            match read_frame(&mut &frame[..], MAX_FRAME) {
-                Err(FrameError::Proto(ProtoError::BadOpcode(byte))) => assert_eq!(byte, bad),
-                other => panic!("expected bad opcode, got {other:?}"),
-            }
             match scan_frame(&frame, MAX_FRAME) {
                 Err(ProtoError::BadOpcode(byte)) => assert_eq!(byte, bad),
                 other => panic!("expected bad opcode, got {other:?}"),
@@ -1512,21 +1428,21 @@ mod tests {
 
     #[test]
     fn oversize_length_prefix_is_rejected_before_allocation() {
-        // Header claims a 256 MiB payload; the reader must refuse at the
-        // header, not try to read (or allocate) the payload.
+        // Header claims a 256 MiB payload; the scanner must refuse at the
+        // header, not wait for (or allocate) the payload.
         let mut frame = vec![VERSION, Opcode::Ping as u8];
         frame.extend_from_slice(&(256u32 << 20).to_le_bytes());
-        match read_frame(&mut &frame[..], MAX_FRAME) {
-            Err(FrameError::Proto(ProtoError::Oversize(_))) => {}
+        match scan_frame(&frame, MAX_FRAME) {
+            Err(ProtoError::Oversize(_)) => {}
             other => panic!("expected oversize, got {other:?}"),
         }
     }
 
     #[test]
     fn wrong_version_is_rejected_on_the_first_byte() {
-        let frame = [9u8, 0, 0, 0, 0, 0];
-        match read_frame(&mut &frame[..], MAX_FRAME) {
-            Err(FrameError::Proto(ProtoError::BadVersion(9))) => {}
+        let frame = [9u8];
+        match scan_frame(&frame, MAX_FRAME) {
+            Err(ProtoError::BadVersion(9)) => {}
             other => panic!("expected bad version, got {other:?}"),
         }
     }
@@ -1579,52 +1495,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_frame_agrees_with_read_frame() {
-        // Complete frame at the front: the scan names the same opcode and
-        // payload bytes the blocking reader would produce.
-        let frame = Request::Ping.encode();
-        let mut buf = frame.clone();
-        buf.extend_from_slice(&frame); // a second pipelined frame behind it
-        match scan_frame(&buf, MAX_FRAME).unwrap() {
-            FrameScan::Complete {
-                opcode,
-                payload_start,
-                consumed,
-            } => {
-                let read = read_frame(&mut &frame[..], MAX_FRAME).unwrap();
-                assert_eq!(opcode, read.opcode);
-                assert_eq!(&buf[payload_start..consumed], &read.payload[..]);
-                assert_eq!(consumed, frame.len());
-            }
-            other => panic!("expected a complete frame, got {other:?}"),
-        }
-        // Every strict prefix scans as partial.
-        for cut in 0..frame.len() {
-            assert_eq!(
-                scan_frame(&frame[..cut], MAX_FRAME).unwrap(),
-                FrameScan::Partial
-            );
-        }
-        // Bad version refused on the first byte, oversize on the header.
-        assert!(matches!(
-            scan_frame(&[9u8], MAX_FRAME),
-            Err(ProtoError::BadVersion(9))
-        ));
-        let mut oversize = vec![VERSION, Opcode::Ping as u8];
-        oversize.extend_from_slice(&(256u32 << 20).to_le_bytes());
-        assert!(matches!(
-            scan_frame(&oversize, MAX_FRAME),
-            Err(ProtoError::Oversize(_))
-        ));
-    }
-
-    #[test]
     fn trailing_bytes_are_rejected() {
         let mut frame = Request::Ping.encode();
         frame[2..6].copy_from_slice(&1u32.to_le_bytes());
         frame.push(0xEE);
-        let parsed = read_frame(&mut &frame[..], MAX_FRAME).unwrap();
-        match Request::decode(parsed.opcode, &parsed.payload) {
+        let (opcode, payload) = scan_one(&frame);
+        match Request::decode(opcode, &payload) {
             Err(ProtoError::TrailingBytes(1)) => {}
             other => panic!("expected trailing bytes, got {other:?}"),
         }

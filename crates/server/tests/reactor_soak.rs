@@ -23,7 +23,7 @@
 use extsec_mac::Lattice;
 use extsec_refmon::MonitorBuilder;
 use extsec_server::proto::{self, Request, Response, MAX_FRAME};
-use extsec_server::{Server, ServerConfig};
+use extsec_server::{read_response, Server, ServerConfig};
 use std::io::Read;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -37,8 +37,7 @@ fn spawn_server(config: ServerConfig) -> Server {
 
 fn ping(stream: &mut TcpStream) {
     proto::write_frame(stream, &Request::Ping.encode()).unwrap();
-    let frame = proto::read_frame(stream, MAX_FRAME).unwrap();
-    match Response::decode(frame.opcode, &frame.payload).unwrap() {
+    match read_response(stream, MAX_FRAME).unwrap() {
         Response::Pong => {}
         other => panic!("wanted Pong, got {other:?}"),
     }
@@ -149,8 +148,7 @@ fn overload_sheds_with_typed_busy_and_leaks_nothing() {
     let mut over = TcpStream::connect(addr).unwrap();
     over.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let frame = proto::read_frame(&mut over, MAX_FRAME).unwrap();
-    match Response::decode(frame.opcode, &frame.payload).unwrap() {
+    match read_response(&mut over, MAX_FRAME).unwrap() {
         Response::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 35),
         other => panic!("wanted Busy, got {other:?}"),
     }
@@ -170,11 +168,11 @@ fn overload_sheds_with_typed_busy_and_leaks_nothing() {
             Ok(()) => {}
             Err(_) => continue,
         }
-        let frame = match proto::read_frame(&mut stream, MAX_FRAME) {
-            Ok(frame) => frame,
+        let response = match read_response(&mut stream, MAX_FRAME) {
+            Ok(response) => response,
             Err(_) => continue,
         };
-        match Response::decode(frame.opcode, &frame.payload).unwrap() {
+        match response {
             Response::Pong => break stream,
             Response::Busy { .. } => {
                 std::thread::sleep(Duration::from_millis(5));

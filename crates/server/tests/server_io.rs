@@ -6,10 +6,9 @@ use extsec_acl::{AccessMode, Acl, AclEntry, ModeSet};
 use extsec_mac::{Lattice, SecurityClass};
 use extsec_namespace::{NodeKind, NsPath, Protection};
 use extsec_refmon::{Decision, DenyReason, JsonSink, MonitorBuilder, ReferenceMonitor, Subject};
-use extsec_server::proto;
 use extsec_server::{
-    Client, ClientConfig, ErrorCode, Opcode, Request, Response, Server, ServerConfig, MAX_FRAME,
-    VERSION,
+    read_response, Client, ClientConfig, ErrorCode, Opcode, Request, Response, Server,
+    ServerConfig, MAX_FRAME, VERSION,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -203,10 +202,7 @@ fn send_raw(server: &Server, bytes: &[u8]) -> (Option<Response>, bool) {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
     stream.write_all(bytes).unwrap();
-    let reply = match proto::read_frame(&mut stream, MAX_FRAME) {
-        Ok(frame) => Some(Response::decode(frame.opcode, &frame.payload).unwrap()),
-        Err(_) => None,
-    };
+    let reply = read_response(&mut stream, MAX_FRAME).ok();
     // After an error reply the server must close: the next read is EOF.
     let mut probe = [0u8; 1];
     let closed = matches!(stream.read(&mut probe), Ok(0));
@@ -256,8 +252,7 @@ fn adversarial_frames_get_typed_errors_and_leak_nothing() {
             .unwrap();
         stream.write_all(&truncated).unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let frame = proto::read_frame(&mut stream, MAX_FRAME).unwrap();
-        match Response::decode(frame.opcode, &frame.payload).unwrap() {
+        match read_response(&mut stream, MAX_FRAME).unwrap() {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
             other => panic!("expected error, got {other:?}"),
         }

@@ -1,6 +1,8 @@
-//! Property tests for the wire protocol: encode → decode is the
-//! identity on every frame type, truncation at any point is a refusal
-//! (never a panic), and the decoder is total on garbage and corruption.
+//! Property tests for the wire protocol, run through the production
+//! frame scanner (`proto::scan_frame`) and payload decoders: encode →
+//! decode is the identity on every frame type, truncation at any point
+//! is a refusal (never a panic), and the decoder is total on garbage and
+//! corruption.
 
 use extsec_acl::{AccessMode, PrincipalId};
 use extsec_mac::{CategoryId, CategorySet, SecurityClass, TrustLevel};
@@ -9,9 +11,22 @@ use extsec_refmon::{
     AuditQuery, AuditRecord, BundleId, Decision, DenyReason, GapRange, Generation, Outcome,
     QueryResult, Subject, ThreadId,
 };
-use extsec_server::proto::{read_frame, FrameError, ProtoError};
+use extsec_server::proto::{scan_frame, FrameScan, ProtoError};
 use extsec_server::{BatchItem, ErrorCode, Request, Response, MAX_FRAME};
 use proptest::prelude::*;
+
+/// Scans the frame at the front of `bytes`: `Some((opcode, payload))`
+/// when a whole frame is there, `None` when more bytes are needed.
+fn scan(bytes: &[u8]) -> Result<Option<(u8, &[u8])>, ProtoError> {
+    Ok(match scan_frame(bytes, MAX_FRAME)? {
+        FrameScan::Complete {
+            opcode,
+            payload_start,
+            consumed,
+        } => Some((opcode, &bytes[payload_start..consumed])),
+        FrameScan::Partial => None,
+    })
+}
 
 fn arb_mode() -> impl Strategy<Value = AccessMode> {
     (0usize..AccessMode::ALL.len()).prop_map(|i| AccessMode::ALL[i])
@@ -202,52 +217,53 @@ fn arb_response() -> impl Strategy<Value = Response> {
 }
 
 proptest! {
-    /// encode → decode is the identity on every request frame type.
+    /// encode → decode is the identity on every request frame type, and
+    /// bytes pipelined behind a frame never leak into it.
     #[test]
-    fn requests_round_trip(request in arb_request()) {
-        let bytes = request.encode();
-        let frame = read_frame(&mut &bytes[..], MAX_FRAME).expect("own frames parse");
-        prop_assert_eq!(frame.opcode, request.opcode() as u8);
-        prop_assert_eq!(Request::decode(frame.opcode, &frame.payload), Ok(request));
+    fn requests_round_trip(
+        request in arb_request(),
+        trailing in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut bytes = request.encode();
+        let len = bytes.len();
+        bytes.extend_from_slice(&trailing);
+        match scan_frame(&bytes, MAX_FRAME) {
+            Ok(FrameScan::Complete { opcode, payload_start, consumed }) => {
+                prop_assert_eq!(consumed, len);
+                prop_assert_eq!(opcode, request.opcode() as u8);
+                prop_assert_eq!(Request::decode(opcode, &bytes[payload_start..consumed]), Ok(request));
+            }
+            other => prop_assert!(false, "own frame did not scan: {other:?}"),
+        }
     }
 
     /// encode → decode is the identity on every response frame type.
     #[test]
     fn responses_round_trip(response in arb_response()) {
         let bytes = response.encode();
-        let frame = read_frame(&mut &bytes[..], MAX_FRAME).expect("own frames parse");
-        prop_assert_eq!(frame.opcode, response.opcode());
-        prop_assert_eq!(Response::decode(frame.opcode, &frame.payload), Ok(response));
+        let (opcode, payload) = scan(&bytes).expect("own frames scan").expect("whole frame");
+        prop_assert_eq!(opcode, response.opcode());
+        prop_assert_eq!(Response::decode(opcode, payload), Ok(response));
     }
 
-    /// Truncating a valid frame at *any* prefix length is a refusal —
-    /// EOF, truncation, or idle for a zero-length read — never a panic
-    /// and never a successful parse of a shorter structure.
+    /// Truncating a valid frame at *any* prefix length is a refusal: the
+    /// scanner yields no frame and asks for more bytes — never a panic,
+    /// never an error on a well-formed header, and never a shorter
+    /// structure.
     #[test]
     fn truncation_at_every_prefix_is_refused(request in arb_request()) {
         let bytes = request.encode();
         for len in 0..bytes.len() {
-            match read_frame(&mut &bytes[..len], MAX_FRAME) {
-                Ok(frame) => {
-                    // The header parsed because the payload length fit
-                    // the prefix; the payload itself must then refuse.
-                    prop_assert!(
-                        Request::decode(frame.opcode, &frame.payload) != Ok(request.clone()),
-                        "prefix of {len} bytes decoded as the full request"
-                    );
-                }
-                Err(FrameError::Eof | FrameError::Proto(_)) => {}
-                Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
-            }
+            prop_assert_eq!(scan(&bytes[..len]), Ok(None), "prefix of {} bytes", len);
         }
     }
 
-    /// The frame reader and payload decoders are total on garbage.
+    /// The frame scanner and payload decoders are total on garbage.
     #[test]
     fn decode_total_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        if let Ok(frame) = read_frame(&mut &bytes[..], MAX_FRAME) {
-            let _ = Request::decode(frame.opcode, &frame.payload);
-            let _ = Response::decode(frame.opcode, &frame.payload);
+        if let Ok(Some((opcode, payload))) = scan(&bytes) {
+            let _ = Request::decode(opcode, payload);
+            let _ = Response::decode(opcode, payload);
         }
     }
 
@@ -262,8 +278,8 @@ proptest! {
             let n = bytes.len();
             bytes[pos % n] = value;
         }
-        if let Ok(frame) = read_frame(&mut &bytes[..], MAX_FRAME) {
-            let _ = Request::decode(frame.opcode, &frame.payload);
+        if let Ok(Some((opcode, payload))) = scan(&bytes) {
+            let _ = Request::decode(opcode, payload);
         }
     }
 
@@ -273,9 +289,9 @@ proptest! {
     #[test]
     fn unknown_opcode_bytes_are_refused(opcode in any::<u8>()) {
         let bytes = [extsec_server::VERSION, opcode, 0, 0, 0, 0];
-        match read_frame(&mut &bytes[..], MAX_FRAME) {
-            Ok(frame) => prop_assert_eq!(frame.opcode, opcode),
-            Err(FrameError::Proto(ProtoError::BadOpcode(byte))) => {
+        match scan(&bytes) {
+            Ok(Some((scanned, _))) => prop_assert_eq!(scanned, opcode),
+            Err(ProtoError::BadOpcode(byte)) => {
                 prop_assert_eq!(byte, opcode);
                 prop_assert!(Request::decode(opcode, &[]).is_err());
                 prop_assert!(Response::decode(opcode, &[]).is_err());
@@ -284,14 +300,14 @@ proptest! {
         }
     }
 
-    /// A length prefix larger than the reader's limit is refused before
-    /// any payload is read, whatever the claimed size.
+    /// A length prefix larger than the scanner's limit is refused at the
+    /// header, before any payload byte arrives, whatever the claimed size.
     #[test]
     fn oversize_length_prefix_is_refused(len in (MAX_FRAME + 1)..=u32::MAX) {
         let mut bytes = vec![extsec_server::VERSION, 0x00];
         bytes.extend_from_slice(&len.to_le_bytes());
-        match read_frame(&mut &bytes[..], MAX_FRAME) {
-            Err(FrameError::Proto(ProtoError::Oversize(claimed))) => {
+        match scan(&bytes) {
+            Err(ProtoError::Oversize(claimed)) => {
                 prop_assert_eq!(claimed, u64::from(len));
             }
             other => prop_assert!(false, "expected oversize refusal, got {other:?}"),
