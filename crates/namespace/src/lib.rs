@@ -14,8 +14,8 @@
 //! objects, an optional *static* security class (§2.2: extensions may be
 //! statically bound to a class). The name space itself performs **no**
 //! access checks; the reference monitor resolves paths through
-//! [`NameSpace::resolve_with`], supplying a per-level visitor so that
-//! visibility (`list`) is enforced at each step of the traversal.
+//! [`NameSpace::resolve_chain`] and checks visibility (`list`) on every
+//! node of the chain it records.
 //!
 //! # Examples
 //!

@@ -131,12 +131,16 @@ impl NsPath {
             && self.components[..prefix.components.len()] == prefix.components[..]
     }
 
-    /// Iterates over every prefix of the path from the root down to the
-    /// path itself (inclusive), e.g. `/a/b` yields `/`, `/a`, `/a/b`.
-    pub fn ancestors_from_root(&self) -> impl Iterator<Item = NsPath> + '_ {
-        (0..=self.components.len()).map(move |i| NsPath {
-            components: self.components[..i].to_vec(),
-        })
+    /// The prefix made of the first `depth` components (0 = the root),
+    /// e.g. depth 1 of `/a/b` is `/a`.
+    ///
+    /// # Panics
+    ///
+    /// If `depth` exceeds [`NsPath::depth`].
+    pub fn prefix(&self, depth: usize) -> NsPath {
+        NsPath {
+            components: self.components[..depth].to_vec(),
+        }
     }
 }
 
@@ -240,9 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_from_root() {
+    fn prefixes_run_from_the_root() {
         let p: NsPath = "/a/b".parse().unwrap();
-        let all: Vec<String> = p.ancestors_from_root().map(|a| a.to_string()).collect();
+        let all: Vec<String> = (0..=p.depth()).map(|d| p.prefix(d).to_string()).collect();
         assert_eq!(all, vec!["/", "/a", "/a/b"]);
     }
 }

@@ -20,8 +20,6 @@ pub enum NsError {
     RootImmutable,
     /// A stale or foreign node id was used.
     BadNodeId(NodeId),
-    /// A per-level visitor aborted resolution at the given prefix.
-    VisitDenied(NsPath),
     /// An internal fault (in practice, an injected one) interrupted the
     /// operation. The reference monitor maps this to a structural denial,
     /// so a faulting traversal fails closed.
@@ -37,7 +35,6 @@ impl fmt::Display for NsError {
             NsError::NotEmpty(p) => write!(f, "{p}: container not empty"),
             NsError::RootImmutable => write!(f, "the root node is immutable"),
             NsError::BadNodeId(id) => write!(f, "bad node id {id}"),
-            NsError::VisitDenied(p) => write!(f, "{p}: traversal denied"),
             NsError::Fault(msg) => write!(f, "name-space fault: {msg}"),
         }
     }
@@ -49,8 +46,9 @@ impl std::error::Error for NsError {}
 ///
 /// Stored as an arena with a free list; node ids stay stable across
 /// unrelated inserts and removals. The tree performs no access checks of
-/// its own — the reference monitor drives [`NameSpace::resolve_with`] with
-/// a per-level visitor to enforce visibility on every traversal step.
+/// its own — the reference monitor takes the node chain
+/// [`NameSpace::resolve_chain`] records and checks visibility on every
+/// traversal step.
 ///
 /// # Examples
 ///
@@ -122,48 +120,36 @@ impl NameSpace {
 
     /// Resolves `path` to a node id without any per-level checks.
     pub fn resolve(&self, path: &NsPath) -> Result<NodeId, NsError> {
-        self.resolve_with(path, |_, _, _| true)
+        self.descend(path, |_| {})
     }
 
-    /// Resolves `path`, invoking `visit` on every node along the way —
-    /// including the root and the final node. `visit` receives the id, the
-    /// node, and whether this is the final component; returning `false`
-    /// aborts resolution with [`NsError::VisitDenied`] naming the prefix
-    /// that was refused.
-    pub fn resolve_with<F>(&self, path: &NsPath, mut visit: F) -> Result<NodeId, NsError>
-    where
-        F: FnMut(NodeId, &Node, bool) -> bool,
-    {
+    /// Resolves `path` like [`NameSpace::resolve`], recording the nodes it
+    /// passes in `chain`: the root first, then one node per resolved
+    /// component. When resolution fails, `chain` ends at the deepest node
+    /// reached and the error says why the walk stopped there.
+    pub fn resolve_chain(&self, path: &NsPath, chain: &mut Vec<NodeId>) -> Result<NodeId, NsError> {
+        chain.clear();
+        self.descend(path, |id| chain.push(id))
+    }
+
+    /// The one name walk behind both resolvers; `reached` sees every node
+    /// along the way, root first.
+    fn descend(&self, path: &NsPath, mut reached: impl FnMut(NodeId)) -> Result<NodeId, NsError> {
         if let Some(fault) = extsec_faults::fire("ns.resolve") {
             return Err(NsError::Fault(fault.to_string()));
         }
         let mut current = NodeId::ROOT;
-        let components = path.components();
-        // Visit the root first.
-        let root = self.node(current)?;
-        if !visit(current, root, components.is_empty()) {
-            return Err(NsError::VisitDenied(NsPath::root()));
-        }
-        for (i, name) in components.iter().enumerate() {
+        reached(current);
+        for (i, name) in path.components().iter().enumerate() {
             let node = self.node(current)?;
             if !node.kind.is_container() {
-                let prefix = NsPath::from_components(components[..i].iter().cloned())
-                    .expect("already-validated components");
-                return Err(NsError::NotAContainer(prefix));
+                return Err(NsError::NotAContainer(path.prefix(i)));
             }
             let Some(&child) = node.children.get(name) else {
-                let prefix = NsPath::from_components(components[..=i].iter().cloned())
-                    .expect("already-validated components");
-                return Err(NsError::NotFound(prefix));
+                return Err(NsError::NotFound(path.prefix(i + 1)));
             };
-            let child_node = self.node(child)?;
-            let last = i + 1 == components.len();
-            if !visit(child, child_node, last) {
-                let prefix = NsPath::from_components(components[..=i].iter().cloned())
-                    .expect("already-validated components");
-                return Err(NsError::VisitDenied(prefix));
-            }
             current = child;
+            reached(current);
         }
         Ok(current)
     }
@@ -517,26 +503,28 @@ mod tests {
     }
 
     #[test]
-    fn visitor_sees_every_level_and_can_deny() {
+    fn chain_walk_sees_every_level_and_stops_at_the_failing_prefix() {
         let ns = build();
-        let mut seen = Vec::new();
-        ns.resolve_with(&p("/svc/fs/read"), |_, node, last| {
-            seen.push((node.name().to_string(), last));
-            true
-        })
-        .unwrap();
-        assert_eq!(
-            seen,
-            vec![
-                ("".to_string(), false),
-                ("svc".to_string(), false),
-                ("fs".to_string(), false),
-                ("read".to_string(), true)
-            ]
-        );
-        // Deny at the second level.
-        let err = ns.resolve_with(&p("/svc/fs/read"), |_, node, _| node.name() != "fs");
-        assert_eq!(err, Err(NsError::VisitDenied(p("/svc/fs"))));
+        let names = |chain: &[NodeId]| -> Vec<String> {
+            chain
+                .iter()
+                .map(|&id| ns.node(id).unwrap().name().to_string())
+                .collect()
+        };
+        let mut chain = Vec::new();
+        let read = ns.resolve_chain(&p("/svc/fs/read"), &mut chain).unwrap();
+        assert_eq!(names(&chain), vec!["", "svc", "fs", "read"]);
+        assert_eq!(chain.last(), Some(&read));
+        // A missing component: the chain ends at its parent, and the
+        // error names the missing prefix.
+        let err = ns.resolve_chain(&p("/svc/net/send"), &mut chain);
+        assert_eq!(err, Err(NsError::NotFound(p("/svc/net"))));
+        assert_eq!(names(&chain), vec!["", "svc"]);
+        // Through a leaf: the chain ends at the leaf, which the error
+        // names.
+        let err = ns.resolve_chain(&p("/svc/fs/read/a/b"), &mut chain);
+        assert_eq!(err, Err(NsError::NotAContainer(p("/svc/fs/read"))));
+        assert_eq!(names(&chain), vec!["", "svc", "fs", "read"]);
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! the mandatory flow comparison — so administrators can answer "why was
 //! this denied?" without reverse-engineering the model.
 //!
-//! `explain` is diagnostics, not enforcement: it recomputes the decision
-//! with the same rules (a property test pins `explain().decision ==
-//! check()`) but is never on the hot path and is not audited.
+//! `explain` is diagnostics, not enforcement: it runs the one decision
+//! evaluator every check runs, with an observer that records each step,
+//! so `explain().decision == check()` holds by construction. It is never
+//! on the hot path, bypasses the decision cache and is not audited.
 
-use crate::config::MonitorConfig;
-use crate::decision::{Decision, DenyReason};
-use crate::monitor::{MonitorView, ReferenceMonitor};
+use crate::decision::Decision;
+use crate::monitor::{MonitorView, Observer, ReferenceMonitor};
 use crate::subject::Subject;
-use extsec_acl::{AccessMode, AclDecision};
-use extsec_mac::FlowCheck;
+use extsec_acl::{AccessMode, Acl, AclDecision};
+use extsec_mac::{FlowCheck, Lattice, SecurityClass};
 use extsec_namespace::{NsError, NsPath};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -142,155 +142,80 @@ impl ReferenceMonitor {
 impl MonitorView<'_> {
     /// Explains the decision for `(subject, path, mode)` step by step.
     ///
-    /// The whole trace — every traversal prefix, the ACL evaluation, the
-    /// flow comparison — reads this view's one pinned snapshot, so a
-    /// concurrent republish can never make the narrated steps disagree
-    /// with the decision they justify (the race the old monitor-level
-    /// walk, which re-read the published state per prefix, allowed).
+    /// The explanation is the check evaluator itself run with a narrating
+    /// observer, against this view's one pinned snapshot: the steps are
+    /// the ones the decision was made by, so `explain().decision` equals
+    /// `check()` by construction.
     pub fn explain(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Explanation {
-        let config: MonitorConfig = self.config();
-        let mut steps = Vec::new();
-
-        // Walk the interior prefixes in order, mirroring `evaluate`.
-        let prefixes: Vec<NsPath> = path.ancestors_from_root().collect();
-        let (interior, _last) = prefixes.split_at(prefixes.len().saturating_sub(1));
-        for prefix in interior {
-            let Ok(protection) = self.protection_of(prefix) else {
-                steps.push(ExplainStep::NotFound {
-                    path: prefix.clone(),
-                });
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotFound(prefix.clone())),
-                };
+        self.lattice(|lattice| {
+            let mut narrator = Narrator {
+                path,
+                subject,
+                lattice,
+                steps: Vec::new(),
             };
-            let dac_visible = self.directory(|d| {
-                protection
-                    .acl
-                    .check(d, subject.principal, AccessMode::List)
-                    .granted()
-            });
-            let mac_visible =
-                config
-                    .flow
-                    .permits(&subject.class, &protection.label, FlowCheck::Observe);
-            steps.push(ExplainStep::Traverse {
-                path: prefix.clone(),
-                dac_visible,
-                mac_visible,
-                checked: config.check_visibility,
-            });
-            if config.check_visibility && !dac_visible {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotVisibleDac(prefix.clone())),
-                };
+            let decision = self.decide_observed(subject, path, mode, &mut narrator);
+            Explanation {
+                mode,
+                path: path.clone(),
+                steps: narrator.steps,
+                decision,
             }
-            if config.check_visibility && !mac_visible {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotVisibleMac(prefix.clone())),
-                };
-            }
-        }
+        })
+    }
+}
 
-        // The final node.
-        let protection = match self.protection_of(path) {
-            Ok(p) => p,
-            Err(crate::error::MonitorError::Ns(NsError::NotFound(missing))) => {
-                steps.push(ExplainStep::NotFound {
-                    path: missing.clone(),
-                });
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::NotFound(missing)),
-                };
-            }
-            Err(e) => {
-                // Structural errors (e.g. traversal through a leaf)
-                // mirror the checker's wording exactly.
-                let reason = match e {
-                    crate::error::MonitorError::Ns(ns) => DenyReason::Structure(ns.to_string()),
-                    other => DenyReason::Structure(other.to_string()),
-                };
-                steps.push(ExplainStep::NotFound { path: path.clone() });
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(reason),
-                };
-            }
+/// The observer behind `explain`: turns each evaluator step into an
+/// [`ExplainStep`].
+struct Narrator<'a> {
+    path: &'a NsPath,
+    subject: &'a Subject,
+    lattice: &'a Lattice,
+    steps: Vec<ExplainStep>,
+}
+
+impl Observer for Narrator<'_> {
+    const NARRATES: bool = true;
+
+    fn traverse(&mut self, depth: usize, dac_visible: bool, mac_visible: bool, checked: bool) {
+        self.steps.push(ExplainStep::Traverse {
+            path: self.path.prefix(depth),
+            dac_visible,
+            mac_visible,
+            checked,
+        });
+    }
+
+    fn unresolved(&mut self, error: &NsError) {
+        let path = match error {
+            NsError::NotFound(missing) => missing.clone(),
+            _ => self.path.clone(),
         };
-        let dac = self.directory(|d| protection.acl.check(d, subject.principal, mode));
-        let entry = match dac {
-            AclDecision::DeniedByEntry(i) => protection.acl.entries().get(i).map(|e| e.to_string()),
+        self.steps.push(ExplainStep::NotFound { path });
+    }
+
+    fn dac(&mut self, acl: &Acl, decision: AclDecision) {
+        let entry = match decision {
+            AclDecision::DeniedByEntry(i) => acl.entries().get(i).map(|e| e.to_string()),
             _ => None,
         };
-        steps.push(ExplainStep::Dac {
-            decision: dac,
-            entry,
-        });
-        match dac {
-            AclDecision::Granted => {}
-            AclDecision::DeniedByEntry(i) => {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::DacNegativeEntry(i)),
-                };
-            }
-            AclDecision::NoMatchingEntry => {
-                return Explanation {
-                    mode,
-                    path: path.clone(),
-                    steps,
-                    decision: Decision::Deny(DenyReason::DacNoEntry),
-                };
-            }
-        }
-        let check = config.flow_check(mode);
-        let permitted = config
-            .flow
-            .permits(&subject.class, &protection.label, check);
-        let (subject_class, object_label) = self.lattice(|l| {
-            (
-                l.format_class(&subject.class),
-                l.format_class(&protection.label),
-            )
-        });
-        steps.push(ExplainStep::Mac {
+        self.steps.push(ExplainStep::Dac { decision, entry });
+    }
+
+    fn mac(&mut self, check: FlowCheck, label: &SecurityClass, permitted: bool) {
+        self.steps.push(ExplainStep::Mac {
             check,
-            subject_class,
-            object_label,
+            subject_class: self.lattice.format_class(&self.subject.class),
+            object_label: self.lattice.format_class(label),
             permitted,
         });
-        let decision = if permitted {
-            Decision::Allow
-        } else {
-            Decision::Deny(DenyReason::MacFlow)
-        };
-        Explanation {
-            mode,
-            path: path.clone(),
-            steps,
-            decision,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::DenyReason;
     use crate::monitor::MonitorBuilder;
     use extsec_acl::{Acl, AclEntry, ModeSet};
     use extsec_mac::{Lattice, SecurityClass};
@@ -389,6 +314,43 @@ mod tests {
             .filter(|s| matches!(s, ExplainStep::Traverse { .. }))
             .count();
         assert_eq!(traverses, 3); // "/", "/svc", "/svc/fs"
+    }
+
+    /// A path that runs through a visible leaf with two components left
+    /// is a structural denial naming the leaf — explained exactly as
+    /// checked, not as a missing interior prefix.
+    #[test]
+    fn through_leaf_paths_explain_as_checked() {
+        let (monitor, subject) = world();
+        monitor
+            .bootstrap(|ns| {
+                ns.insert(
+                    &"/svc/fs".parse().unwrap(),
+                    "pub",
+                    NodeKind::Procedure,
+                    Protection::new(
+                        Acl::public(ModeSet::only(AccessMode::List)),
+                        SecurityClass::bottom(),
+                    ),
+                )?;
+                Ok(())
+            })
+            .unwrap();
+        let path: NsPath = "/svc/fs/pub/a/b".parse().unwrap();
+        let expected = Decision::Deny(DenyReason::Structure(
+            "/svc/fs/pub: not a container".to_string(),
+        ));
+        assert_eq!(monitor.check(&subject, &path, AccessMode::Read), expected);
+        let explanation = monitor.explain(&subject, &path, AccessMode::Read);
+        assert_eq!(explanation.decision, expected);
+        // The leaf itself was traversed (and visible) before the walk
+        // stopped.
+        assert!(explanation.steps.contains(&ExplainStep::Traverse {
+            path: "/svc/fs/pub".parse().unwrap(),
+            dac_visible: true,
+            mac_visible: true,
+            checked: true,
+        }));
     }
 
     #[test]

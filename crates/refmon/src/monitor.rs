@@ -64,6 +64,67 @@ struct ShadowPolicy {
     state: State,
 }
 
+/// Where the evaluator's node chain comes from. Each source yields the
+/// nodes from the root down to the final node, or, when resolution stops
+/// early, down to the deepest node reached plus the reason it stopped.
+enum Nodes<'c> {
+    /// A name walk from the root: one `ns.resolve` fault-point hit.
+    Walk,
+    /// The parent climb from the node a cache key names.
+    Climb(NodeId),
+    /// The batch resolver's chain (root first, final node last) and the
+    /// batch-local memo of interior nodes already proven visible, each
+    /// together with its whole ancestry.
+    Batch(&'c [NodeId], &'c mut HashSet<NodeId>),
+}
+
+/// Watches the evaluator's steps; [`MonitorView::explain`] narrates them.
+/// The unit observer watches nothing and compiles away, so checks pay
+/// nothing for the hooks.
+pub(crate) trait Observer {
+    /// Whether interior steps are reported even with visibility checking
+    /// off (they are then computed but not enforced).
+    const NARRATES: bool = false;
+    /// The interior node at `depth` (0 = the root) was checked for
+    /// visibility; `checked` says whether the outcome was enforced.
+    fn traverse(&mut self, _depth: usize, _dac: bool, _mac: bool, _checked: bool) {}
+    /// The path did not resolve.
+    fn unresolved(&mut self, _error: &NsError) {}
+    /// The final node's ACL gave `decision` for the requested mode.
+    fn dac(&mut self, _acl: &Acl, _decision: AclDecision) {}
+    /// The final node's label was compared under `check`.
+    fn mac(&mut self, _check: FlowCheck, _label: &SecurityClass, _permitted: bool) {}
+}
+
+impl Observer for () {}
+
+/// The interior part of a fetched chain: all of it when resolution
+/// stopped early, all but the final node otherwise.
+fn interior_of<'c>(chain: &'c [NodeId], outcome: &Result<NodeId, NsError>) -> &'c [NodeId] {
+    match outcome {
+        Ok(_) => &chain[..chain.len().saturating_sub(1)],
+        Err(_) => chain,
+    }
+}
+
+/// Fills `chain` with the nodes from the root down to `id` by climbing
+/// parent links. A broken link leaves `chain` empty.
+fn climb(ns: &NameSpace, id: NodeId, chain: &mut Vec<NodeId>) -> Result<NodeId, NsError> {
+    let mut cursor = Some(id);
+    while let Some(at) = cursor {
+        chain.push(at);
+        cursor = match ns.node(at) {
+            Ok(node) => node.parent(),
+            Err(e) => {
+                chain.clear();
+                return Err(e);
+            }
+        };
+    }
+    chain.reverse();
+    Ok(id)
+}
+
 /// How many prior activated snapshots the rollback ring keeps.
 const ROLLBACK_RING: usize = 8;
 
@@ -403,10 +464,10 @@ impl ReferenceMonitor {
         if !state.config.decision_cache {
             return self.check_in(state, subject, path, mode);
         }
-        // A cheap, visitor-free resolve yields the key. When the path does
-        // not resolve, there is no stable node to key on; fall through to
-        // full evaluation, which also reproduces the exact deny reason
-        // (NotFound prefix vs. an earlier visibility denial).
+        // A cheap, allocation-free resolve yields the key. When the path
+        // does not resolve, there is no stable node to key on; fall
+        // through to the name walk, which also reproduces the exact deny
+        // reason (NotFound prefix vs. an earlier visibility denial).
         let resolve_t = self.telemetry.start();
         let resolved = state.namespace.resolve(path);
         self.telemetry.finish(Stage::Resolve, resolve_t);
@@ -425,13 +486,21 @@ impl ReferenceMonitor {
         let decision = match hit {
             Some(decision) => decision,
             None => {
-                let decision =
-                    Self::evaluate_resolved(state, subject, path, id, mode, &self.telemetry);
+                let decision = Self::decide(
+                    state,
+                    subject,
+                    path,
+                    mode,
+                    Nodes::Climb(id),
+                    &self.telemetry,
+                    &mut (),
+                );
                 #[cfg(debug_assertions)]
                 {
-                    // The cross-check re-runs the pipeline; record it into
-                    // the permanently disabled hub so debug builds count
-                    // each stage once, like release builds. The two runs
+                    // The cross-check re-runs the evaluator on the
+                    // name-walk chain instead of the climbed one, recorded
+                    // into the permanently disabled hub so debug builds
+                    // count each stage once, like release builds. The two runs
                     // consult the fault stream independently, so under an
                     // installed fault plan a side that drew an injected
                     // fault (a structural denial naming it) is exempt —
@@ -440,7 +509,7 @@ impl ReferenceMonitor {
                     let injected = |d: &Decision| matches!(d, Decision::Deny(DenyReason::Structure(s)) if s.contains("injected"));
                     debug_assert!(
                         decision == walk || injected(&decision) || injected(&walk),
-                        "resolved-id evaluation must agree with the guarded walk: \
+                        "the climbed chain must decide like the name walk: \
                          {decision:?} vs {walk:?}"
                     );
                 }
@@ -508,10 +577,9 @@ impl ReferenceMonitor {
         })
     }
 
-    /// The guarded walk. Interior-node visibility checks happen inside
-    /// the resolve visitor, so their cost is recorded under
-    /// [`Stage::Resolve`]; the final node's ACL and MAC checks are
-    /// recorded by [`ReferenceMonitor::evaluate_at`].
+    /// The name-walk form of [`ReferenceMonitor::decide`], for the
+    /// uncached, admin, list and shadow callers and for every path that
+    /// does not resolve.
     fn evaluate(
         state: &State,
         subject: &Subject,
@@ -519,132 +587,112 @@ impl ReferenceMonitor {
         mode: AccessMode,
         tele: &Telemetry,
     ) -> Decision {
-        // Walk the path. Interior nodes must be visible; the final node
-        // gets the real mode check.
-        let mut deny: Option<DenyReason> = None;
-        let mut final_node: Option<NodeId> = None;
-        let resolve_t = tele.start();
-        let resolved = state.namespace.resolve_with(path, |id, node, last| {
-            if last {
-                final_node = Some(id);
-                return true;
-            }
-            if !state.config.check_visibility {
-                return true;
-            }
-            // Discretionary visibility: `list` on the interior node.
-            let dac =
-                node.protection()
-                    .acl
-                    .check(&state.directory, subject.principal, AccessMode::List);
-            if !dac.granted() {
-                deny = Some(DenyReason::NotVisibleDac(NsPath::root()));
-                return false;
-            }
-            // Mandatory visibility: the subject must be able to observe
-            // the interior node.
-            if !state.config.flow.permits(
-                &subject.class,
-                &node.protection().label,
-                FlowCheck::Observe,
-            ) {
-                deny = Some(DenyReason::NotVisibleMac(NsPath::root()));
-                return false;
-            }
-            true
-        });
-        tele.finish(Stage::Resolve, resolve_t);
-        let node_id = match resolved {
-            Ok(id) => id,
-            Err(NsError::VisitDenied(prefix)) => {
-                let reason = match deny {
-                    Some(DenyReason::NotVisibleDac(_)) => DenyReason::NotVisibleDac(prefix),
-                    Some(DenyReason::NotVisibleMac(_)) => DenyReason::NotVisibleMac(prefix),
-                    _ => DenyReason::Structure("visit denied".to_string()),
-                };
-                return Decision::Deny(reason);
-            }
-            Err(NsError::NotFound(prefix)) => return Decision::Deny(DenyReason::NotFound(prefix)),
-            Err(e) => return Decision::Deny(DenyReason::Structure(e.to_string())),
-        };
-        debug_assert_eq!(final_node, Some(node_id));
-        Self::evaluate_at(state, subject, node_id, mode, tele)
+        Self::decide(state, subject, path, mode, Nodes::Walk, tele, &mut ())
     }
 
-    /// Evaluates with the final node already resolved — the cache-miss
-    /// path, which would otherwise resolve the name twice (once for the
-    /// key, once inside the guarded walk). Visibility of the interior
-    /// levels is checked by climbing the parent chain of the resolved
-    /// node, top-down so the denied prefix matches what the guarded walk
-    /// reports. The climb is the resolved-path stand-in for the guarded
-    /// walk, so its cost is recorded under [`Stage::Resolve`].
-    fn evaluate_resolved(
+    /// The one decision evaluator. Every interior node of the chain must
+    /// be visible to the subject — `list` under its ACL and observation
+    /// under the flow policy — checked top-down, so a denial names the
+    /// shallowest hidden prefix. Then a resolution failure is reported,
+    /// or the final node gets its mode check
+    /// ([`ReferenceMonitor::evaluate_at`]).
+    ///
+    /// Fetching the chain and the interior pass are one [`Stage::Resolve`]
+    /// span, closed on every exit. A name walk is always timed; the climb
+    /// and the batch chain only when visibility checking is on (with it
+    /// off they have nothing to do).
+    fn decide<O: Observer>(
         state: &State,
         subject: &Subject,
         path: &NsPath,
-        id: NodeId,
         mode: AccessMode,
+        nodes: Nodes<'_>,
         tele: &Telemetry,
+        observer: &mut O,
     ) -> Decision {
-        if state.config.check_visibility {
-            let climb_t = tele.start();
-            let stale = || Decision::Deny(DenyReason::Structure("stale node id".to_string()));
-            // Collect the ancestors leaf→root (the final node itself is
-            // exempt from the visibility check; it gets the mode check).
-            let mut chain = Vec::with_capacity(path.depth());
-            let mut cursor = match state.namespace.node(id) {
-                Ok(node) => node.parent(),
-                Err(_) => return stale(),
-            };
-            while let Some(ancestor) = cursor {
-                chain.push(ancestor);
-                cursor = match state.namespace.node(ancestor) {
-                    Ok(node) => node.parent(),
-                    Err(_) => return stale(),
-                };
+        let checked = state.config.check_visibility;
+        let span = if checked || matches!(nodes, Nodes::Walk) {
+            tele.start()
+        } else {
+            None
+        };
+        let mut fetched = Vec::new();
+        let (interior, outcome, mut memo) = match nodes {
+            Nodes::Walk => {
+                fetched.reserve_exact(path.depth() + 1);
+                let outcome = state.namespace.resolve_chain(path, &mut fetched);
+                (interior_of(&fetched, &outcome), outcome, None)
             }
-            for (depth, ancestor) in chain.iter().rev().enumerate() {
-                let Ok(node) = state.namespace.node(*ancestor) else {
-                    return stale();
-                };
-                let dac = node.protection().acl.check(
-                    &state.directory,
-                    subject.principal,
-                    AccessMode::List,
-                );
-                if !dac.granted() {
-                    return Decision::Deny(DenyReason::NotVisibleDac(Self::prefix_of(path, depth)));
+            Nodes::Climb(id) if checked => {
+                fetched.reserve_exact(path.depth() + 1);
+                let outcome = climb(&state.namespace, id, &mut fetched);
+                (interior_of(&fetched, &outcome), outcome, None)
+            }
+            Nodes::Climb(id) => (&[][..], Ok(id), None),
+            Nodes::Batch(chain, memo) => {
+                let (last, interior) = chain.split_last().expect("chain holds the root");
+                (interior, Ok(*last), Some(memo))
+            }
+        };
+        let mut denial = None;
+        if checked || O::NARRATES {
+            for (depth, id) in interior.iter().enumerate() {
+                if memo.as_ref().is_some_and(|memo| memo.contains(id)) {
+                    continue;
                 }
-                if !state.config.flow.permits(
+                let Ok(node) = state.namespace.node(*id) else {
+                    denial = Some(DenyReason::Structure("stale node id".to_string()));
+                    break;
+                };
+                let protection = node.protection();
+                let dac = protection
+                    .acl
+                    .check(&state.directory, subject.principal, AccessMode::List)
+                    .granted();
+                let mac = state.config.flow.permits(
                     &subject.class,
-                    &node.protection().label,
+                    &protection.label,
                     FlowCheck::Observe,
-                ) {
-                    return Decision::Deny(DenyReason::NotVisibleMac(Self::prefix_of(path, depth)));
+                );
+                observer.traverse(depth, dac, mac, checked);
+                if checked && !dac {
+                    denial = Some(DenyReason::NotVisibleDac(path.prefix(depth)));
+                    break;
+                }
+                if checked && !mac {
+                    denial = Some(DenyReason::NotVisibleMac(path.prefix(depth)));
+                    break;
+                }
+                if let Some(memo) = memo.as_deref_mut() {
+                    memo.insert(*id);
                 }
             }
-            tele.finish(Stage::Resolve, climb_t);
         }
-        Self::evaluate_at(state, subject, id, mode, tele)
-    }
-
-    /// The path prefix naming the ancestor at `depth` (0 = the root).
-    fn prefix_of(path: &NsPath, depth: usize) -> NsPath {
-        // A prefix of an already-validated path re-validates; the root
-        // fallback keeps a (structurally impossible) failure on the deny
-        // path instead of panicking inside a check.
-        NsPath::from_components(path.components()[..depth].iter().cloned())
-            .unwrap_or_else(|_| NsPath::root())
+        tele.finish(Stage::Resolve, span);
+        if let Some(reason) = denial {
+            return Decision::Deny(reason);
+        }
+        match outcome {
+            Ok(id) => Self::evaluate_at(state, subject, id, mode, tele, observer),
+            Err(e) => {
+                observer.unresolved(&e);
+                Decision::Deny(match e {
+                    NsError::NotFound(prefix) => DenyReason::NotFound(prefix),
+                    e => DenyReason::Structure(e.to_string()),
+                })
+            }
+        }
     }
 
     /// The final-node mode check: the discretionary half is recorded
     /// under [`Stage::Acl`], the mandatory half under [`Stage::Mac`].
-    fn evaluate_at(
+    fn evaluate_at<O: Observer>(
         state: &State,
         subject: &Subject,
         node: NodeId,
         mode: AccessMode,
         tele: &Telemetry,
+        observer: &mut O,
     ) -> Decision {
         let Ok(node) = state.namespace.node(node) else {
             return Decision::Deny(DenyReason::Structure("stale node id".to_string()));
@@ -656,6 +704,7 @@ impl ReferenceMonitor {
             .acl
             .check(&state.directory, subject.principal, mode);
         tele.finish(Stage::Acl, acl_t);
+        observer.dac(&protection.acl, dac);
         match dac {
             AclDecision::Granted => {}
             AclDecision::DeniedByEntry(i) => {
@@ -671,6 +720,7 @@ impl ReferenceMonitor {
             .flow
             .permits(&subject.class, &protection.label, check);
         tele.finish(Stage::Mac, mac_t);
+        observer.mac(check, &protection.label, permitted);
         if !permitted {
             return Decision::Deny(DenyReason::MacFlow);
         }
@@ -1230,7 +1280,7 @@ impl ReferenceMonitor {
         mode: AccessMode,
         enforced: &Decision,
     ) {
-        // The shadow evaluation is an uncached guarded walk recorded into
+        // The shadow evaluation is an uncached name walk recorded into
         // the permanently disabled hub, so it never pollutes the enforced
         // pipeline's stage histograms or the decision cache.
         let shadowed = Self::evaluate(&shadow.state, subject, path, mode, Telemetry::disabled());
@@ -1429,7 +1479,7 @@ impl ViewRef<'_> {
     /// same code against the same snapshot.
     ///
     /// When the decision cache is configured off, the batch degrades to
-    /// the sequential guarded walk per item (the uncached configuration
+    /// the sequential name walk per item (the uncached configuration
     /// is a verification surface, not the production path).
     fn check_batch(&self, subject: &Subject, items: &[(NsPath, AccessMode)]) -> Vec<Decision> {
         let monitor = self.monitor;
@@ -1443,7 +1493,7 @@ impl ViewRef<'_> {
         let mut decisions: Vec<Option<Decision>> = vec![None; items.len()];
         if !state.config.decision_cache {
             // Uncached configuration: the sequential path does a full
-            // guarded walk per item; keep that behavior exactly.
+            // name walk per item; keep that behavior exactly.
             for (slot, (path, mode)) in decisions.iter_mut().zip(items) {
                 *slot = Some(ReferenceMonitor::evaluate(
                     state, subject, path, *mode, tele,
@@ -1562,7 +1612,7 @@ impl ViewRef<'_> {
 
             let Some(id) = prev_resolved else {
                 // No stable node to key on: the sequential path falls back
-                // to the full guarded walk, which also reproduces the
+                // to the name walk, which also reproduces the
                 // exact deny reason. No memo — exact parity, and failed
                 // resolutions are the cold path.
                 decisions[idx] = Some(ReferenceMonitor::evaluate(
@@ -1587,8 +1637,15 @@ impl ViewRef<'_> {
             let decision = match hit {
                 Some(decision) => decision,
                 None => {
-                    let decision =
-                        self.evaluate_on_chain(subject, path, &chain, *mode, &mut visible);
+                    let decision = ReferenceMonitor::decide(
+                        state,
+                        subject,
+                        path,
+                        *mode,
+                        Nodes::Batch(&chain, &mut visible),
+                        tele,
+                        &mut (),
+                    );
                     monitor
                         .cache
                         .insert(key, &subject.class, state.generation, decision.clone());
@@ -1598,58 +1655,6 @@ impl ViewRef<'_> {
             decided.insert((id, *mode), decision.clone());
             decisions[idx] = Some(decision);
         }
-    }
-
-    /// [`ReferenceMonitor::evaluate_resolved`] with the ancestor chain
-    /// already in hand from the incremental resolver, and a batch-local
-    /// memo of interior nodes already proven visible. `chain` holds the
-    /// root at index 0 and the final node last; `visible` only ever
-    /// contains nodes whose whole ancestor chain passed the visibility
-    /// check, so a memo hit is exactly a re-check skipped.
-    fn evaluate_on_chain(
-        &self,
-        subject: &Subject,
-        path: &NsPath,
-        chain: &[NodeId],
-        mode: AccessMode,
-        visible: &mut HashSet<NodeId>,
-    ) -> Decision {
-        let state = self.state;
-        let tele = &self.monitor.telemetry;
-        let (final_node, ancestors) = chain.split_last().expect("chain holds at least the root");
-        if state.config.check_visibility {
-            let climb_t = tele.start();
-            for (depth, ancestor) in ancestors.iter().enumerate() {
-                if visible.contains(ancestor) {
-                    continue;
-                }
-                let Ok(node) = state.namespace.node(*ancestor) else {
-                    return Decision::Deny(DenyReason::Structure("stale node id".to_string()));
-                };
-                let dac = node.protection().acl.check(
-                    &state.directory,
-                    subject.principal,
-                    AccessMode::List,
-                );
-                if !dac.granted() {
-                    return Decision::Deny(DenyReason::NotVisibleDac(ReferenceMonitor::prefix_of(
-                        path, depth,
-                    )));
-                }
-                if !state.config.flow.permits(
-                    &subject.class,
-                    &node.protection().label,
-                    FlowCheck::Observe,
-                ) {
-                    return Decision::Deny(DenyReason::NotVisibleMac(ReferenceMonitor::prefix_of(
-                        path, depth,
-                    )));
-                }
-                visible.insert(*ancestor);
-            }
-            tele.finish(Stage::Resolve, climb_t);
-        }
-        ReferenceMonitor::evaluate_at(state, subject, *final_node, mode, tele)
     }
 
     fn require(
@@ -1754,6 +1759,27 @@ impl MonitorView<'_> {
     pub fn list(&self, subject: &Subject, path: &NsPath) -> Result<Vec<String>, MonitorError> {
         self.monitor.telemetry.count_view_op();
         self.as_view_ref().list(subject, path)
+    }
+
+    /// Decides on this snapshot by name walk, reporting every step to
+    /// `observer` — the evaluator every check runs, without the decision
+    /// cache, the audit log or telemetry.
+    pub(crate) fn decide_observed<O: Observer>(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        mode: AccessMode,
+        observer: &mut O,
+    ) -> Decision {
+        ReferenceMonitor::decide(
+            &self.state,
+            subject,
+            path,
+            mode,
+            Nodes::Walk,
+            Telemetry::disabled(),
+            observer,
+        )
     }
 
     /// The configuration this snapshot was published with.
@@ -2409,7 +2435,7 @@ mod tests {
     }
 
     /// The deny-prefix reported by the resolved-id fast path matches the
-    /// guarded walk at every level of a deep hierarchy.
+    /// name walk at every level of a deep hierarchy.
     #[test]
     fn resolved_path_reports_same_prefix_as_walk() {
         let (monitor, alice, _) = fixture();

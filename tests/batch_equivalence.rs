@@ -24,9 +24,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The path universe: shared prefixes at several depths, an invisible
-/// subtree (no List on `/vault`), a high-labeled leaf, duplicates of
-/// everything via repeated indices, and a path that never exists.
-const PATHS: [&str; 9] = [
+/// subtree (no List on `/vault`), a high-labeled leaf, paths running
+/// through a visible leaf with one and two components left, duplicates
+/// of everything via repeated indices, and a path that never exists.
+const PATHS: [&str; 11] = [
     "/svc",
     "/svc/fs",
     "/svc/fs/read",
@@ -35,6 +36,8 @@ const PATHS: [&str; 9] = [
     "/vault",
     "/vault/key",
     "/obj/file",
+    "/obj/file/x",
+    "/obj/file/x/y",
     "/svc/missing/leaf",
 ];
 
@@ -167,6 +170,7 @@ proptest! {
     /// For any batch over the path universe and any permutation of it:
     /// the batch path answers exactly what sequential checks on the same
     /// pinned view answer, and permuting the items permutes the answers.
+    /// The uncached oracle and `explain` answer the same, item by item.
     #[test]
     fn batch_matches_sequential_and_permutation_commutes(
         raw in vec((0..PATHS.len(), 0..MODES.len()), 1..48),
@@ -188,6 +192,16 @@ proptest! {
             .collect();
         let batch = view.check_batch(&subject, &items);
         prop_assert_eq!(render(&sequential), render(&batch));
+        let unmemoized: Vec<_> = items
+            .iter()
+            .map(|(path, mode)| world.monitor.check_unmemoized(&subject, path, *mode))
+            .collect();
+        prop_assert_eq!(render(&sequential), render(&unmemoized));
+        let explained: Vec<_> = items
+            .iter()
+            .map(|(path, mode)| view.explain(&subject, path, *mode).decision)
+            .collect();
+        prop_assert_eq!(render(&sequential), render(&explained));
 
         // Permute, check, un-permute: the answers must follow the items.
         let order = permutation_from_keys(&keys[..items.len()]);

@@ -404,3 +404,76 @@ fn snapshots_are_monotone_and_tear_free_under_stress() {
     // One view per `view()` reader call, each with exactly one op.
     assert!(snap.views > 0 && snap.view_ops >= snap.views);
 }
+
+/// A cache miss denied for visibility closes its resolve span like an
+/// allowed miss at the same depth does, on the single-check and the
+/// batch path alike: the per-stage counts must not depend on the
+/// outcome.
+#[test]
+fn visibility_denied_misses_record_their_resolve_span() {
+    let world = build_world(true);
+    world
+        .monitor
+        .bootstrap(|ns| {
+            // `/hid` lists to no one; below it, a twin of `/svc/fs/read`.
+            ns.ensure_path(
+                &p("/hid"),
+                NodeKind::Domain,
+                &Protection::new(Acl::new(), SecurityClass::bottom()),
+            )?;
+            ns.ensure_path(
+                &p("/hid/fs"),
+                NodeKind::Domain,
+                &Protection::new(
+                    Acl::public(ModeSet::only(AccessMode::List)),
+                    SecurityClass::bottom(),
+                ),
+            )?;
+            ns.insert(
+                &p("/hid/fs"),
+                "read",
+                NodeKind::Procedure,
+                Protection::new(
+                    Acl::from_entries([AclEntry::allow_principal(
+                        world.principals[0],
+                        AccessMode::Execute,
+                    )]),
+                    SecurityClass::bottom(),
+                ),
+            )?;
+            Ok(())
+        })
+        .unwrap();
+    let subject = world.subject(0, 0);
+    let resolves = || {
+        world
+            .monitor
+            .telemetry_snapshot()
+            .stage(Stage::Resolve)
+            .count
+    };
+    let single = |path: &str| {
+        let before = resolves();
+        let decision = world.monitor.check(&subject, &p(path), AccessMode::Execute);
+        (decision.allowed(), resolves() - before)
+    };
+    let batch = |path: &str| {
+        let before = resolves();
+        let decisions = world
+            .monitor
+            .check_batch(&subject, &[(p(path), AccessMode::Execute)]);
+        (decisions[0].allowed(), resolves() - before)
+    };
+    // Every call below is a cache miss: each path is checked once per
+    // form, and republishing the config between the forms moves the
+    // cache generation on.
+    let (allowed, allowed_delta) = single("/svc/fs/read");
+    let (denied, denied_delta) = single("/hid/fs/read");
+    assert!(allowed && !denied);
+    assert_eq!(denied_delta, allowed_delta, "single-check resolve samples");
+    world.monitor.set_config(world.monitor.config());
+    let (allowed, allowed_delta) = batch("/svc/fs/read");
+    let (denied, denied_delta) = batch("/hid/fs/read");
+    assert!(allowed && !denied);
+    assert_eq!(denied_delta, allowed_delta, "batch resolve samples");
+}
