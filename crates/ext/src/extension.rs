@@ -2,7 +2,7 @@
 
 use extsec_acl::PrincipalId;
 use extsec_mac::SecurityClass;
-use extsec_namespace::NsPath;
+use extsec_namespace::{NodeLink, NsPath};
 use extsec_vm::VerifiedModule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -80,8 +80,31 @@ pub struct Extension {
     pub manifest: ExtensionManifest,
     /// The verified code.
     pub module: VerifiedModule,
-    /// The resolved import targets, parallel to the module's import list.
-    pub resolved_imports: Vec<NsPath>,
+    /// The linked import targets, parallel to the module's import list.
+    pub imports: Vec<LinkedImport>,
+}
+
+/// One import as linked at load: its parsed target path and the target
+/// node as it was when the link-time `execute` check passed. Every
+/// syscall through it is still checked; the link only spares the name
+/// walk while the target node lasts. Only the runtime builds one, so the
+/// link always names the node at the path.
+#[derive(Clone, Debug)]
+pub struct LinkedImport {
+    pub(crate) path: NsPath,
+    pub(crate) link: NodeLink,
+}
+
+impl LinkedImport {
+    /// The target path.
+    pub fn path(&self) -> &NsPath {
+        &self.path
+    }
+
+    /// The target node, stamped with its slot epoch.
+    pub fn link(&self) -> NodeLink {
+        self.link
+    }
 }
 
 #[cfg(test)]

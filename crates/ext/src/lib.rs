@@ -48,7 +48,7 @@ pub mod service;
 
 pub use authenticate::{sign, AuthError, KeyRing, ModuleSignature, SigningKey};
 pub use dispatch::{Dispatcher, Registration};
-pub use extension::{Extension, ExtensionId, ExtensionManifest, Origin};
+pub use extension::{Extension, ExtensionId, ExtensionManifest, LinkedImport, Origin};
 pub use health::{Admit, HealthConfig, HealthLedger, HealthReport, HealthState, QuarantineInfo};
 pub use runtime::{ExtError, ExtRuntime};
 pub use service::{CallCtx, Service, ServiceError};

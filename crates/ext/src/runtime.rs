@@ -2,12 +2,12 @@
 
 use crate::authenticate::{AuthError, KeyRing, ModuleSignature};
 use crate::dispatch::Dispatcher;
-use crate::extension::{Extension, ExtensionId, ExtensionManifest};
+use crate::extension::{Extension, ExtensionId, ExtensionManifest, LinkedImport};
 use crate::health::{Admit, HealthConfig, HealthLedger, HealthReport, HealthState, QuarantineInfo};
 use crate::service::{CallCtx, Reenter, Service, ServiceError};
 use extsec_acl::AccessMode;
 use extsec_mac::SecurityClass;
-use extsec_namespace::{NsPath, PathError};
+use extsec_namespace::{NodeLink, NsPath, PathError};
 use extsec_refmon::{
     Decision, DenyReason, DispatchOutcome, ExtFault, MonitorError, ReferenceMonitor, Subject,
 };
@@ -15,6 +15,7 @@ use extsec_vm::{
     EpochClock, Machine, MachineLimits, Module, SyscallHost, Trap, Value, VerifyError,
 };
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -248,7 +249,9 @@ impl ExtRuntime {
 
     /// Loads an extension: verifies the bytecode, resolves every declared
     /// import against the name space, and checks `execute` access on each
-    /// import at link time.
+    /// import at link time. Each import is linked to the node that check
+    /// allowed, so its syscalls find the node without a name walk while
+    /// that node lasts.
     pub fn load(
         &self,
         module: Module,
@@ -266,15 +269,17 @@ impl ExtRuntime {
                 return Err(ExtError::Verify(e));
             }
         };
-        let link_subject = self.link_subject(&manifest);
-        let mut resolved = Vec::with_capacity(verified.module().imports.len());
+        let link_subject = self.extension_subject(&manifest);
+        // The check and the link read one snapshot, so each link names
+        // the node its check allowed.
+        let view = self.monitor.view();
+        let mut imports = Vec::with_capacity(verified.module().imports.len());
         for import in &verified.module().imports {
             let path: NsPath = import
                 .path
                 .parse()
                 .map_err(|e| ExtError::BadImportPath(import.path.clone(), e))?;
-            if !self
-                .monitor
+            if !view
                 .check(&link_subject, &path, AccessMode::Execute)
                 .allowed()
             {
@@ -283,15 +288,17 @@ impl ExtRuntime {
                     path: import.path.clone(),
                 });
             }
-            resolved.push(path);
+            let link = view.link(&path)?;
+            imports.push(LinkedImport { path, link });
         }
+        drop(view);
         let mut extensions = self.extensions.write();
         let id = ExtensionId::from_raw(extensions.len() as u32);
         extensions.push(Some(Arc::new(Extension {
             id,
             manifest,
             module: verified,
-            resolved_imports: resolved,
+            imports,
         })));
         Ok(id)
     }
@@ -346,10 +353,6 @@ impl ExtRuntime {
                 .clone()
                 .unwrap_or_else(SecurityClass::bottom),
         )
-    }
-
-    fn link_subject(&self, manifest: &ExtensionManifest) -> Subject {
-        self.extension_subject(manifest)
     }
 
     // ------------------------------------------------------------------
@@ -417,13 +420,17 @@ impl ExtRuntime {
         path: &NsPath,
         args: &[Value],
     ) -> Result<Option<Value>, ExtError> {
-        self.call_inner(subject, path, args, 0)
+        self.call_inner(subject, path, None, args, 0)
     }
 
+    /// One gate crossing. A syscall passes its import's `link`, which
+    /// names the target node without a name walk while it is current;
+    /// every other caller passes `None`.
     fn call_inner(
         &self,
         subject: &Subject,
         path: &NsPath,
+        link: Option<NodeLink>,
         args: &[Value],
         depth: usize,
     ) -> Result<Option<Value>, ExtError> {
@@ -434,9 +441,10 @@ impl ExtRuntime {
         // republish between the two steps cannot split the decision.
         let effective = {
             let view = self.monitor.view();
-            view.require(subject, path, AccessMode::Execute)
+            view.require_linked(subject, path, link, AccessMode::Execute)
                 .map_err(ExtError::Monitor)?;
-            view.enter(subject, path).map_err(ExtError::Monitor)?
+            view.enter_linked(subject, path, link)
+                .map_err(ExtError::Monitor)?
         };
 
         // Specialization first: §2.2 class-based selection. Quarantined
@@ -457,23 +465,19 @@ impl ExtRuntime {
             return self.run_extension(ext_id, &export, args, &effective, depth);
         }
 
-        // Base service: longest mounted prefix of `path`. Walk the
-        // parent chain deepest-first — O(path depth) map probes instead
-        // of a linear scan over every mounted service.
+        // Base service: longest mounted prefix of `path`, probed
+        // deepest-first by component slice — O(path depth) map probes
+        // and no path built per probe.
+        let components = path.components();
         let service = {
             let services = self.services.read();
-            let mut probe = Some(path.clone());
-            let mut found: Option<(NsPath, Arc<dyn Service>)> = None;
-            while let Some(prefix) = probe {
-                if let Some(svc) = services.get(&prefix) {
-                    found = Some((prefix, Arc::clone(svc)));
-                    break;
-                }
-                probe = prefix.parent();
-            }
-            found
+            (0..=components.len()).rev().find_map(|mount| {
+                services
+                    .get(&components[..mount])
+                    .map(|svc| (mount, Arc::clone(svc)))
+            })
         };
-        let Some((prefix, service)) = service else {
+        let Some((mount, service)) = service else {
             self.monitor
                 .telemetry()
                 .count_dispatch(DispatchOutcome::Unrouted);
@@ -482,7 +486,10 @@ impl ExtRuntime {
         self.monitor
             .telemetry()
             .count_dispatch(DispatchOutcome::Base);
-        let op = path.components()[prefix.depth()..].join("/");
+        let op = match &components[mount..] {
+            [op] => Cow::Borrowed(op.as_str()),
+            rest => Cow::Owned(rest.join("/")),
+        };
         let reenter = RuntimeReenter {
             runtime: self,
             depth,
@@ -574,6 +581,7 @@ impl ExtRuntime {
             }
             let mut host = GateHost {
                 runtime: self,
+                ext: &ext,
                 subject: &effective,
                 depth,
             };
@@ -694,10 +702,11 @@ impl fmt::Debug for ExtRuntime {
 }
 
 /// The host side of the syscall gates: routes each import invocation back
-/// through [`ExtRuntime::call_inner`], carrying the current subject and
-/// gate depth.
+/// through [`ExtRuntime::call_inner`] with the import's load-time link,
+/// carrying the current subject and gate depth.
 struct GateHost<'a> {
     runtime: &'a ExtRuntime,
+    ext: &'a Extension,
     subject: &'a Subject,
     depth: usize,
 }
@@ -708,9 +717,25 @@ impl SyscallHost for GateHost<'_> {
         import: &extsec_vm::ImportDecl,
         args: &[Value],
     ) -> Result<Option<Value>, String> {
-        let path: NsPath = import.path.parse().map_err(|e: PathError| e.to_string())?;
+        // The machine runs this extension's module and passes a reference
+        // into its import list; the position there is the import's index.
+        let index = self
+            .ext
+            .module
+            .module()
+            .imports
+            .iter()
+            .position(|decl| std::ptr::eq(decl, import))
+            .ok_or_else(|| format!("import {} is not linked", import.alias))?;
+        let linked = &self.ext.imports[index];
         self.runtime
-            .call_inner(self.subject, &path, args, self.depth + 1)
+            .call_inner(
+                self.subject,
+                &linked.path,
+                Some(linked.link),
+                args,
+                self.depth + 1,
+            )
             .map_err(|e| e.to_string())
     }
 }
@@ -728,7 +753,7 @@ impl Reenter for RuntimeReenter<'_> {
         args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
         self.runtime
-            .call_inner(subject, path, args, self.depth + 1)
+            .call_inner(subject, path, None, args, self.depth + 1)
             .map_err(ServiceError::from)
     }
 }

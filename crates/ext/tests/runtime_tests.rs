@@ -2,11 +2,13 @@
 //! extend registration, and class-aware dispatch.
 
 use extsec_acl::{AccessMode, Acl, AclEntry, ModeSet, PrincipalId};
-use extsec_ext::{CallCtx, ExtError, ExtRuntime, ExtensionManifest, Origin, Service, ServiceError};
+use extsec_ext::{
+    CallCtx, ExtError, ExtRuntime, ExtensionId, ExtensionManifest, Origin, Service, ServiceError,
+};
 use extsec_mac::{Lattice, SecurityClass};
-use extsec_namespace::{NodeKind, NsPath, Protection};
+use extsec_namespace::{NodeId, NodeKind, NodeLink, NsPath, Protection};
 use extsec_refmon::{DenyReason, MonitorBuilder, MonitorError, ReferenceMonitor, Subject};
-use extsec_vm::{asm, Value};
+use extsec_vm::{asm, Trap, Value};
 use std::sync::Arc;
 
 fn p(s: &str) -> NsPath {
@@ -14,7 +16,7 @@ fn p(s: &str) -> NsPath {
 }
 
 /// A trivial service: `echo` returns its argument, `add` adds two ints,
-/// `fail` always errors.
+/// `fail` always errors, `class` names the caller's effective class.
 struct EchoService;
 
 impl Service for EchoService {
@@ -24,7 +26,7 @@ impl Service for EchoService {
 
     fn invoke(
         &self,
-        _ctx: &CallCtx<'_>,
+        ctx: &CallCtx<'_>,
         op: &str,
         args: &[Value],
     ) -> Result<Option<Value>, ServiceError> {
@@ -40,6 +42,7 @@ impl Service for EchoService {
                 Ok(Some(Value::Int(a + b)))
             }
             "fail" => Err(ServiceError::Failed("deliberate".into())),
+            "class" => Ok(Some(Value::Str(ctx.subject.class.to_string()))),
             other => Err(ServiceError::NoSuchOperation(other.to_string())),
         }
     }
@@ -52,8 +55,8 @@ struct Fixture {
     bob: PrincipalId,
 }
 
-/// Lattice low < high; /svc/echo/{echo,add,fail} mounted, executable by
-/// alice only; /svc/iface/handler is an extensible procedure alice may
+/// Lattice low < high; /svc/echo/{echo,add,fail,class} mounted,
+/// executable by alice only; /svc/iface/handler is an extensible procedure alice may
 /// extend.
 fn fixture() -> Fixture {
     let lattice = Lattice::build(["low", "high"], ["c0"]).unwrap();
@@ -69,7 +72,7 @@ fn fixture() -> Fixture {
                 SecurityClass::bottom(),
             );
             ns.ensure_path(&p("/svc/echo"), NodeKind::Domain, &visible)?;
-            for op in ["echo", "add", "fail"] {
+            for op in ["echo", "add", "fail", "class"] {
                 let id = ns.insert(
                     &p("/svc/echo"),
                     op,
@@ -510,4 +513,283 @@ fn audit_sees_gate_crossings() {
     assert!(events
         .iter()
         .any(|e| e.path == p("/svc/echo/add") && e.mode == AccessMode::Execute));
+}
+
+// ----------------------------------------------------------------------
+// Linked imports: a syscall's link never outlives its node or its policy.
+// Every case runs twice: with the link as loaded, and with it forced
+// stale (the target re-created unchanged right after load), so the name
+// walk fallback decides the same way.
+// ----------------------------------------------------------------------
+
+const CLASS_SRC: &str = r#"
+module whoami
+import class = "/svc/echo/class" () -> str
+func main() -> str
+  syscall class
+  ret
+end
+export main = main
+"#;
+
+/// Removes the node at `path` and inserts it again under the same name and
+/// kind with `edit` applied to its protection. The slot is recycled at a
+/// new epoch; returns the new node's id.
+fn recreate(f: &Fixture, path: &str, edit: impl FnOnce(&mut Protection)) -> NodeId {
+    let path = p(path);
+    f.monitor
+        .bootstrap(|ns| {
+            let id = ns.resolve(&path)?;
+            let node = ns.node(id)?;
+            let (kind, mut protection) = (node.kind(), node.protection().clone());
+            ns.remove_id(id)?;
+            edit(&mut protection);
+            ns.insert(
+                &path.parent().unwrap(),
+                path.leaf().unwrap(),
+                kind,
+                protection,
+            )
+        })
+        .unwrap()
+}
+
+/// Inserts an alice-executable procedure at `path`; returns its id.
+fn insert_executable(f: &Fixture, path: &str) -> NodeId {
+    let path = p(path);
+    let mut protection = Protection::default();
+    protection
+        .acl
+        .push(AclEntry::allow_principal(f.alice, AccessMode::Execute));
+    f.monitor
+        .bootstrap(|ns| {
+            ns.insert(
+                &path.parent().unwrap(),
+                path.leaf().unwrap(),
+                NodeKind::Procedure,
+                protection,
+            )
+        })
+        .unwrap()
+}
+
+/// The link of the extension's only import.
+fn link_of(f: &Fixture, id: ExtensionId) -> NodeLink {
+    f.runtime.extension(id).unwrap().imports[0].link()
+}
+
+fn is_current(f: &Fixture, link: NodeLink) -> bool {
+    f.monitor.inspect(|ns| ns.is_current(link))
+}
+
+/// Loads `src` as alice; with `stale`, then re-creates its import's
+/// target unchanged so the link no longer names a live node.
+fn load_linked(f: &Fixture, src: &str, stale: bool) -> ExtensionId {
+    let id = f
+        .runtime
+        .load(asm::assemble(src).unwrap(), manifest(f, f.alice))
+        .unwrap();
+    let target = f.runtime.extension(id).unwrap().imports[0]
+        .path()
+        .to_string();
+    if stale {
+        recreate(f, &target, |_| {});
+    }
+    assert_eq!(is_current(f, link_of(f, id)), !stale);
+    id
+}
+
+/// The trap a syscall failing with the unlinked call's error raises.
+fn gate_trap(unlinked: ExtError) -> ExtError {
+    ExtError::Trap(Trap::Host(unlinked.to_string()))
+}
+
+#[test]
+fn linked_syscall_traps_on_revocation_after_link() {
+    for stale in [false, true] {
+        let f = fixture();
+        let id = load_linked(&f, CALLER_SRC, stale);
+        let alice = low(&f, f.alice);
+        let args = [Value::Int(40), Value::Int(2)];
+        // Warm the decision cache with the grant.
+        assert_eq!(
+            f.runtime.run(id, "main", &[Value::Int(40)], &alice),
+            Ok(Some(Value::Int(42)))
+        );
+        f.monitor
+            .bootstrap(|ns| {
+                let nid = ns.resolve(&p("/svc/echo/add"))?;
+                ns.update_protection(nid, |prot| {
+                    prot.acl =
+                        Acl::from_entries([AclEntry::deny_principal(f.alice, AccessMode::Execute)]);
+                })
+            })
+            .unwrap();
+        // A revocation leaves the slot alone: a fresh link still names
+        // the node, and the next syscall is denied anyway.
+        assert_eq!(is_current(&f, link_of(&f, id)), !stale);
+        let linked = f
+            .runtime
+            .run(id, "main", &[Value::Int(40)], &alice)
+            .unwrap_err();
+        let unlinked = f
+            .runtime
+            .call(&alice, &p("/svc/echo/add"), &args)
+            .unwrap_err();
+        assert_eq!(
+            unlinked,
+            ExtError::Monitor(MonitorError::Denied(DenyReason::DacNegativeEntry(0)))
+        );
+        assert_eq!(linked, gate_trap(unlinked), "stale link: {stale}");
+    }
+}
+
+#[test]
+fn linked_syscall_decides_by_the_node_in_a_recycled_slot() {
+    for stale in [false, true] {
+        let f = fixture();
+        let id = load_linked(&f, CALLER_SRC, stale);
+        let (alice, bob) = (low(&f, f.alice), low(&f, f.bob));
+        assert!(f.runtime.run(id, "main", &[Value::Int(1)], &alice).is_ok());
+        assert!(f.runtime.run(id, "main", &[Value::Int(1)], &bob).is_err());
+        let link = link_of(&f, id);
+        // Same path, new node with a new ACL: alice refused, bob allowed.
+        let new = recreate(&f, "/svc/echo/add", |prot| {
+            prot.acl = Acl::from_entries([
+                AclEntry::deny_principal(f.alice, AccessMode::Execute),
+                AclEntry::allow_principal(f.bob, AccessMode::Execute),
+            ]);
+        });
+        assert_eq!(new, link.id(), "the slot is recycled");
+        assert!(!is_current(&f, link), "at a new epoch");
+        let linked = f
+            .runtime
+            .run(id, "main", &[Value::Int(40)], &alice)
+            .unwrap_err();
+        let unlinked = f
+            .runtime
+            .call(
+                &alice,
+                &p("/svc/echo/add"),
+                &[Value::Int(40), Value::Int(2)],
+            )
+            .unwrap_err();
+        assert_eq!(
+            unlinked,
+            ExtError::Monitor(MonitorError::Denied(DenyReason::DacNegativeEntry(0)))
+        );
+        assert_eq!(linked, gate_trap(unlinked), "stale link: {stale}");
+        assert_eq!(
+            f.runtime.run(id, "main", &[Value::Int(40)], &bob),
+            Ok(Some(Value::Int(42)))
+        );
+    }
+}
+
+#[test]
+fn linked_syscall_to_a_removed_target_fails_like_the_unlinked_call() {
+    for stale in [false, true] {
+        let f = fixture();
+        let id = load_linked(&f, CALLER_SRC, stale);
+        let alice = low(&f, f.alice);
+        assert!(f.runtime.run(id, "main", &[Value::Int(1)], &alice).is_ok());
+        f.monitor
+            .bootstrap(|ns| ns.remove(&p("/svc/echo/add")))
+            .unwrap();
+        // An executable node elsewhere takes the vacated slot; the link
+        // must not lead to it.
+        let other = insert_executable(&f, "/svc/echo/other");
+        assert_eq!(other, link_of(&f, id).id(), "the slot is reused");
+        let linked = f
+            .runtime
+            .run(id, "main", &[Value::Int(40)], &alice)
+            .unwrap_err();
+        let unlinked = f
+            .runtime
+            .call(
+                &alice,
+                &p("/svc/echo/add"),
+                &[Value::Int(40), Value::Int(2)],
+            )
+            .unwrap_err();
+        assert_eq!(
+            unlinked,
+            ExtError::Monitor(MonitorError::Denied(DenyReason::NotFound(p(
+                "/svc/echo/add"
+            ))))
+        );
+        assert_eq!(linked, gate_trap(unlinked), "stale link: {stale}");
+    }
+}
+
+#[test]
+fn linked_syscall_enters_at_the_targets_current_static_class() {
+    for stale in [false, true] {
+        let f = fixture();
+        let low_class = f.monitor.lattice(|l| l.parse_class("low").unwrap());
+        let high_class = f.monitor.lattice(|l| l.parse_class("high").unwrap());
+        let set_static = |class: &SecurityClass| {
+            f.monitor
+                .bootstrap(|ns| {
+                    let nid = ns.resolve(&p("/svc/echo/class"))?;
+                    ns.update_protection(nid, |prot| prot.static_class = Some(class.clone()))
+                })
+                .unwrap();
+        };
+        set_static(&high_class);
+        let id = load_linked(&f, CLASS_SRC, stale);
+        let alice_high = Subject::new(f.alice, high_class.clone());
+        let through_gate = || f.runtime.run(id, "main", &[], &alice_high);
+        let unlinked = || f.runtime.call(&alice_high, &p("/svc/echo/class"), &[]);
+        let named = |class: &SecurityClass| Ok(Some(Value::Str(class.to_string())));
+        assert_eq!(through_gate(), named(&high_class));
+        // Relabelled to low: the very next crossing is capped at low.
+        set_static(&low_class);
+        assert_eq!(is_current(&f, link_of(&f, id)), !stale);
+        assert_eq!(through_gate(), named(&low_class), "stale link: {stale}");
+        assert_eq!(unlinked(), named(&low_class));
+    }
+}
+
+#[test]
+fn rollback_never_revives_a_link_in_a_reused_slot() {
+    let f = fixture();
+    // Vacate /svc/echo/add's slot, then bank that state in the rollback
+    // ring by activating an unrelated bundle.
+    f.monitor
+        .bootstrap(|ns| ns.remove(&p("/svc/echo/add")))
+        .unwrap();
+    let staged = f
+        .monitor
+        .stage_bundle("bundle \"b\" version 1 base current;\nacl-add /svc/echo/echo \"+bob:x\";")
+        .unwrap();
+    f.monitor.activate_bundle(staged.id).unwrap();
+    // Re-create the target in the vacated slot and link to it.
+    insert_executable(&f, "/svc/echo/add");
+    let id = load_linked(&f, CALLER_SRC, false);
+    let alice = low(&f, f.alice);
+    assert!(f.runtime.run(id, "main", &[Value::Int(1)], &alice).is_ok());
+    let link = link_of(&f, id);
+    // Roll back to the state without the target, where the slot is
+    // vacant again, and put another executable node in it.
+    f.monitor.rollback().unwrap();
+    let other = insert_executable(&f, "/svc/echo/other");
+    assert_eq!(other, link.id(), "the slot is reused");
+    let linked = f.runtime.run(id, "main", &[Value::Int(40)], &alice);
+    let unlinked = f
+        .runtime
+        .call(
+            &alice,
+            &p("/svc/echo/add"),
+            &[Value::Int(40), Value::Int(2)],
+        )
+        .unwrap_err();
+    assert_eq!(
+        unlinked,
+        ExtError::Monitor(MonitorError::Denied(DenyReason::NotFound(p(
+            "/svc/echo/add"
+        ))))
+    );
+    assert_eq!(linked, Err(gate_trap(unlinked)));
+    assert!(!is_current(&f, link));
 }

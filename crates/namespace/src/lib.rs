@@ -40,7 +40,7 @@ pub mod path;
 pub mod query;
 pub mod tree;
 
-pub use node::{Node, NodeId, NodeKind, Protection};
+pub use node::{Node, NodeId, NodeKind, NodeLink, Protection};
 pub use path::{NsPath, PathError};
 pub use query::Glob;
 pub use tree::{NameSpace, NsError};

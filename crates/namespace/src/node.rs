@@ -33,6 +33,24 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// One node occupancy, named once and re-validated on every use: a node
+/// id plus the reuse epoch its slot had when the link was taken
+/// ([`crate::NameSpace::link`]). Ids are recycled, so the id alone may
+/// later name another node; [`crate::NameSpace::resolve_linked`] honours
+/// the link only while the slot still holds the occupancy it names.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct NodeLink {
+    pub(crate) id: NodeId,
+    pub(crate) epoch: u32,
+}
+
+impl NodeLink {
+    /// The linked node's id.
+    pub fn id(self) -> NodeId {
+        self.id
+    }
+}
+
 /// The semantic kind of a node.
 ///
 /// Interior kinds mirror the paper's examples of non-leaf structure: Java

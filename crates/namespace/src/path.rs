@@ -6,6 +6,7 @@
 //! keeps resolution (and therefore protection) strictly top-down.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -144,6 +145,16 @@ impl NsPath {
     }
 }
 
+/// A path borrows as its component slice, so maps keyed by [`NsPath`] can
+/// be probed with a prefix `&path.components()[..k]` without building a
+/// path. `Eq`, `Ord` and `Hash` are derived from the one `Vec<String>`
+/// field, so they agree with the slice's.
+impl Borrow<[String]> for NsPath {
+    fn borrow(&self) -> &[String] {
+        &self.components
+    }
+}
+
 impl FromStr for NsPath {
     type Err = PathError;
 
@@ -241,6 +252,18 @@ mod tests {
         assert!(p.starts_with(&p.clone()));
         assert!(!p.starts_with(&"/a/x".parse().unwrap()));
         assert!(!p.starts_with(&"/a/b/c/d".parse().unwrap()));
+    }
+
+    #[test]
+    fn maps_keyed_by_paths_answer_component_slices() {
+        let mut map = std::collections::BTreeMap::new();
+        map.insert("/svc/fs".parse::<NsPath>().unwrap(), 1);
+        map.insert(NsPath::root(), 0);
+        let p: NsPath = "/svc/fs/read".parse().unwrap();
+        let comps = p.components();
+        assert_eq!(map.get(&comps[..2]), Some(&1));
+        assert_eq!(map.get(&comps[..0]), Some(&0));
+        assert_eq!(map.get(comps), None);
     }
 
     #[test]

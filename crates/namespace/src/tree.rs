@@ -1,6 +1,6 @@
 //! The arena-backed name-space tree.
 
-use crate::node::{Node, NodeId, NodeKind, Protection};
+use crate::node::{Node, NodeId, NodeKind, NodeLink, Protection};
 use crate::path::NsPath;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -118,9 +118,34 @@ impl NameSpace {
             .ok_or(NsError::BadNodeId(id))
     }
 
+    /// Links the node `id`: stamps it with its slot's current epoch.
+    pub fn link(&self, id: NodeId) -> Result<NodeLink, NsError> {
+        self.node(id)?;
+        Ok(NodeLink {
+            id,
+            epoch: self.epoch(id),
+        })
+    }
+
+    /// Whether `link` still names a live node: its slot is occupied at the
+    /// epoch the link was taken at.
+    pub fn is_current(&self, link: NodeLink) -> bool {
+        self.epoch(link.id) == link.epoch && self.node(link.id).is_ok()
+    }
+
     /// Resolves `path` to a node id without any per-level checks.
     pub fn resolve(&self, path: &NsPath) -> Result<NodeId, NsError> {
-        self.descend(path, |_| {})
+        self.descend(path, None, |_| {})
+    }
+
+    /// Resolves `path` like [`NameSpace::resolve`], except that a `link`
+    /// taken from `path`'s node (in this name space or an earlier version
+    /// of it) answers without a name walk while it is current
+    /// ([`NameSpace::is_current`]): a node never moves, so its occupancy
+    /// still sits at `path`. A stale link, or none, falls back to the name
+    /// walk. Either way the `ns.resolve` fault point fires once.
+    pub fn resolve_linked(&self, path: &NsPath, link: Option<NodeLink>) -> Result<NodeId, NsError> {
+        self.descend(path, link, |_| {})
     }
 
     /// Resolves `path` like [`NameSpace::resolve`], recording the nodes it
@@ -129,14 +154,22 @@ impl NameSpace {
     /// reached and the error says why the walk stopped there.
     pub fn resolve_chain(&self, path: &NsPath, chain: &mut Vec<NodeId>) -> Result<NodeId, NsError> {
         chain.clear();
-        self.descend(path, |id| chain.push(id))
+        self.descend(path, None, |id| chain.push(id))
     }
 
-    /// The one name walk behind both resolvers; `reached` sees every node
-    /// along the way, root first.
-    fn descend(&self, path: &NsPath, mut reached: impl FnMut(NodeId)) -> Result<NodeId, NsError> {
+    /// The one name walk behind the resolvers, skipped for a current
+    /// `link`; `reached` sees every node along the walk, root first.
+    fn descend(
+        &self,
+        path: &NsPath,
+        link: Option<NodeLink>,
+        mut reached: impl FnMut(NodeId),
+    ) -> Result<NodeId, NsError> {
         if let Some(fault) = extsec_faults::fire("ns.resolve") {
             return Err(NsError::Fault(fault.to_string()));
+        }
+        if let Some(link) = link.filter(|&link| self.is_current(link)) {
+            return Ok(link.id);
         }
         let mut current = NodeId::ROOT;
         reached(current);
@@ -256,6 +289,30 @@ impl NameSpace {
         self.epochs[id.0 as usize] += 1;
         self.free.push(id);
         Ok(())
+    }
+
+    /// Makes this name space, an earlier version of `current`, fit to be
+    /// published in its place (a rollback). Every slot whose occupancy
+    /// differs between the two moves to an epoch past both, and slots only
+    /// `current` has become vacant ones here. Otherwise a slot vacant here
+    /// but reused in `current` would give its next node an epoch `current`
+    /// already gave another, and a link taken from `current` would name
+    /// that new node.
+    pub fn rebase_epochs(&mut self, current: &NameSpace) {
+        while self.nodes.len() < current.nodes.len() {
+            self.free.push(NodeId(self.nodes.len() as u32));
+            self.nodes.push(None);
+            self.epochs.push(0);
+        }
+        for (i, epoch) in self.epochs.iter_mut().enumerate() {
+            let theirs = current.epochs.get(i).copied().unwrap_or(0);
+            let same_occupant = *epoch == theirs
+                && self.nodes[i].is_some()
+                && current.nodes.get(i).is_some_and(Option::is_some);
+            if !same_occupant {
+                *epoch = (*epoch).max(theirs) + 1;
+            }
+        }
     }
 
     /// Reconstructs the absolute path of `id`.
@@ -581,6 +638,100 @@ mod tests {
         assert!(!ns.node(id).unwrap().extensible());
         ns.set_extensible(id, true).unwrap();
         assert!(ns.node(id).unwrap().extensible());
+    }
+
+    #[test]
+    fn links_answer_only_while_their_occupancy_lasts() {
+        let mut ns = build();
+        let path = p("/svc/fs/read");
+        let read = ns.resolve(&path).unwrap();
+        let link = ns.link(read).unwrap();
+        assert!(ns.is_current(link));
+        assert_eq!(ns.resolve_linked(&path, Some(link)), Ok(read));
+        assert_eq!(ns.resolve_linked(&path, None), Ok(read));
+        // Re-created at the same path: the slot is recycled at a new
+        // epoch, so the link is stale and the walk finds the new node.
+        ns.remove(&path).unwrap();
+        assert!(!ns.is_current(link));
+        let again = ns
+            .insert(
+                &p("/svc/fs"),
+                "read",
+                NodeKind::Procedure,
+                Protection::default(),
+            )
+            .unwrap();
+        assert_eq!(again, read);
+        assert!(!ns.is_current(link));
+        assert_eq!(ns.resolve_linked(&path, Some(link)), Ok(again));
+        // Gone for good: the walk reports the missing prefix.
+        ns.remove(&path).unwrap();
+        assert_eq!(
+            ns.resolve_linked(&path, Some(link)),
+            Err(NsError::NotFound(path))
+        );
+        assert!(ns.link(read).is_err());
+    }
+
+    #[test]
+    fn rebased_epochs_never_revive_a_link() {
+        // An older version whose free slot the newer one reused: a link
+        // into the newer version must not name the node the restored
+        // version puts in that slot next.
+        let mut older = build();
+        older.remove(&p("/svc/fs/read")).unwrap();
+        let mut newer = older.clone();
+        let a = newer
+            .insert(
+                &p("/svc/fs"),
+                "a",
+                NodeKind::Procedure,
+                Protection::default(),
+            )
+            .unwrap();
+        let link = newer.link(a).unwrap();
+        newer
+            .insert(&p("/svc"), "extra", NodeKind::Domain, Protection::default())
+            .unwrap();
+        let fs = older.resolve(&p("/svc/fs")).unwrap();
+        let kept = older.link(fs).unwrap();
+
+        let mut restored = older.clone();
+        restored.rebase_epochs(&newer);
+        // A slot only the newer version had is vacant here, past its
+        // epoch there; a node both versions share keeps its link.
+        let extra = restored
+            .insert(&p("/svc"), "extra", NodeKind::Domain, Protection::default())
+            .unwrap();
+        assert!(restored.epoch(extra) > newer.epoch(extra));
+        assert!(restored.is_current(kept));
+        let b = restored
+            .insert(
+                &p("/svc/fs"),
+                "b",
+                NodeKind::Procedure,
+                Protection::default(),
+            )
+            .unwrap();
+        assert_eq!(b, a, "the slot is reused");
+        assert!(!restored.is_current(link));
+        assert_eq!(
+            restored.resolve_linked(&p("/svc/fs/a"), Some(link)),
+            Err(NsError::NotFound(p("/svc/fs/a")))
+        );
+
+        // Without the rebase the stale link would name `b`.
+        let mut unrebased = older.clone();
+        let b = unrebased
+            .insert(
+                &p("/svc/fs"),
+                "b",
+                NodeKind::Procedure,
+                Protection::default(),
+            )
+            .unwrap();
+        assert_eq!(b, a);
+        assert!(unrebased.is_current(link));
     }
 
     #[test]

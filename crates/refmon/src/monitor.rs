@@ -26,7 +26,7 @@ use crate::subject::Subject;
 use extsec_acl::{AccessMode, Acl, AclDecision, AclEntry, Directory, GroupId, PrincipalId};
 use extsec_auditlog::{AuditPipeline, AuditQuery, PipelineStats, QueryResult, VerifyReport};
 use extsec_mac::{FlowCheck, Lattice, SecurityClass};
-use extsec_namespace::{NameSpace, NodeId, NodeKind, NsError, NsPath, Protection};
+use extsec_namespace::{NameSpace, NodeId, NodeKind, NodeLink, NsError, NsPath, Protection};
 use extsec_telemetry::{AuditSnapshot, Stage, Telemetry, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -417,7 +417,7 @@ impl ReferenceMonitor {
                 monitor: self,
                 state,
             }
-            .check(subject, path, mode)
+            .check(subject, path, None, mode)
         })
     }
 
@@ -453,12 +453,14 @@ impl ReferenceMonitor {
         })
     }
 
-    /// The cached check against one pinned snapshot.
+    /// The cached check against one pinned snapshot. A current `link`
+    /// to `path`'s node stands in for the name walk that finds the key.
     fn check_at(
         &self,
         state: &State,
         subject: &Subject,
         path: &NsPath,
+        link: Option<NodeLink>,
         mode: AccessMode,
     ) -> Decision {
         if !state.config.decision_cache {
@@ -469,7 +471,7 @@ impl ReferenceMonitor {
         // through to the name walk, which also reproduces the exact deny
         // reason (NotFound prefix vs. an earlier visibility denial).
         let resolve_t = self.telemetry.start();
-        let resolved = state.namespace.resolve(path);
+        let resolved = state.namespace.resolve_linked(path, link);
         self.telemetry.finish(Stage::Resolve, resolve_t);
         let Ok(id) = resolved else {
             return self.check_in(state, subject, path, mode);
@@ -573,7 +575,7 @@ impl ReferenceMonitor {
                 monitor: self,
                 state,
             }
-            .require(subject, path, mode)
+            .require(subject, path, None, mode)
         })
     }
 
@@ -934,12 +936,17 @@ impl ReferenceMonitor {
                 monitor: self,
                 state,
             }
-            .enter(subject, path)
+            .enter(subject, path, None)
         })
     }
 
-    fn enter_at(state: &State, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
-        let id = state.namespace.resolve(path)?;
+    fn enter_at(
+        state: &State,
+        subject: &Subject,
+        path: &NsPath,
+        link: Option<NodeLink>,
+    ) -> Result<Subject, MonitorError> {
+        let id = state.namespace.resolve_linked(path, link)?;
         let node = state.namespace.node(id)?;
         Ok(match &node.protection().static_class {
             Some(static_class) => subject.capped_by(static_class),
@@ -1169,6 +1176,9 @@ impl ReferenceMonitor {
         let mut registry = self.bundles.lock();
         let prior = registry.history.pop_back().ok_or(BundleError::NoHistory)?;
         let mut next = State::clone(&prior);
+        // A node link taken since the prior snapshot must not name the
+        // node the restored arena next puts in the link's slot.
+        next.namespace.rebase_epochs(&slot.namespace);
         next.shadow = None;
         next.generation = self.cache.bump_get();
         let generation = next.generation;
@@ -1446,11 +1456,17 @@ struct ViewRef<'a> {
 impl ViewRef<'_> {
     /// The whole-check span: one `check` stage sample and one per-mode
     /// count, wrapped around the cached pipeline.
-    fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
+    fn check(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        link: Option<NodeLink>,
+        mode: AccessMode,
+    ) -> Decision {
         let tele = &self.monitor.telemetry;
         let whole = tele.start();
         tele.count_mode(mode);
-        let decision = self.monitor.check_at(self.state, subject, path, mode);
+        let decision = self.monitor.check_at(self.state, subject, path, link, mode);
         tele.finish(Stage::Check, whole);
         // Shadow mode: dual-evaluate against the staged policy riding in
         // this snapshot. Off (the common case) this is one `Option` test
@@ -1661,9 +1677,10 @@ impl ViewRef<'_> {
         &self,
         subject: &Subject,
         path: &NsPath,
+        link: Option<NodeLink>,
         mode: AccessMode,
     ) -> Result<(), MonitorError> {
-        self.check(subject, path, mode)
+        self.check(subject, path, link, mode)
             .into_result()
             .map_err(MonitorError::Denied)
     }
@@ -1672,8 +1689,13 @@ impl ViewRef<'_> {
         self.monitor.list_at(self.state, subject, path)
     }
 
-    fn enter(&self, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
-        ReferenceMonitor::enter_at(self.state, subject, path)
+    fn enter(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        link: Option<NodeLink>,
+    ) -> Result<Subject, MonitorError> {
+        ReferenceMonitor::enter_at(self.state, subject, path, link)
     }
 
     fn protection_of(&self, path: &NsPath) -> Result<Protection, MonitorError> {
@@ -1718,7 +1740,7 @@ impl MonitorView<'_> {
     /// Checks `subject`'s access against this snapshot (cached, audited).
     pub fn check(&self, subject: &Subject, path: &NsPath, mode: AccessMode) -> Decision {
         self.monitor.telemetry.count_view_op();
-        self.as_view_ref().check(subject, path, mode)
+        self.as_view_ref().check(subject, path, None, mode)
     }
 
     /// Checks a whole batch against this snapshot in one vectorized pass:
@@ -1744,15 +1766,50 @@ impl MonitorView<'_> {
         path: &NsPath,
         mode: AccessMode,
     ) -> Result<(), MonitorError> {
+        self.require_linked(subject, path, None, mode)
+    }
+
+    /// [`MonitorView::require`] for a target linked by
+    /// [`MonitorView::link`]: while `link` is current it names `path`'s
+    /// node without a name walk. The check is otherwise the same one —
+    /// cache, audit record under `path`, shadow and telemetry — so a
+    /// revocation after linking is enforced on the very next call.
+    pub fn require_linked(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        link: Option<NodeLink>,
+        mode: AccessMode,
+    ) -> Result<(), MonitorError> {
         self.monitor.telemetry.count_view_op();
-        self.as_view_ref().require(subject, path, mode)
+        self.as_view_ref().require(subject, path, link, mode)
     }
 
     /// Returns the subject as it enters the code object at `path` (see
     /// [`ReferenceMonitor::enter`]), resolved against this snapshot.
     pub fn enter(&self, subject: &Subject, path: &NsPath) -> Result<Subject, MonitorError> {
+        self.enter_linked(subject, path, None)
+    }
+
+    /// [`MonitorView::enter`] for a target linked by
+    /// [`MonitorView::link`].
+    pub fn enter_linked(
+        &self,
+        subject: &Subject,
+        path: &NsPath,
+        link: Option<NodeLink>,
+    ) -> Result<Subject, MonitorError> {
         self.monitor.telemetry.count_view_op();
-        self.as_view_ref().enter(subject, path)
+        self.as_view_ref().enter(subject, path, link)
+    }
+
+    /// Links the node at `path` in this snapshot (TCB inspection; not
+    /// access-checked): its id stamped with its slot's epoch, for
+    /// [`MonitorView::require_linked`] and [`MonitorView::enter_linked`]
+    /// calls on this or any later snapshot of the same monitor.
+    pub fn link(&self, path: &NsPath) -> Result<NodeLink, MonitorError> {
+        let namespace = &self.state.namespace;
+        Ok(namespace.link(namespace.resolve(path)?)?)
     }
 
     /// Lists the children of the container at `path`; requires `list`.

@@ -36,6 +36,8 @@ use std::collections::BTreeMap;
 
 /// The name-space root of all file objects.
 pub const FS_ROOT: &str = "/obj/fs";
+/// [`FS_ROOT`]'s components, which every file's node path starts with.
+const FS_ROOT_COMPONENTS: [&str; 2] = ["obj", "fs"];
 /// The service mount prefix.
 pub const FS_SERVICE: &str = "/svc/fs";
 
@@ -82,20 +84,16 @@ impl FsService {
     }
 
     /// Maps a user path string (e.g. `"home/alice/notes"`) to its node
-    /// path under [`FS_ROOT`].
+    /// path under [`FS_ROOT`], building the components in one pass.
     pub fn node_path(user_path: &str) -> Result<NsPath, ServiceError> {
-        let root: NsPath = FS_ROOT.parse().expect("constant path");
         let trimmed = user_path.trim_matches('/');
-        if trimmed.is_empty() {
-            return Ok(root);
-        }
-        let mut path = root;
-        for component in trimmed.split('/') {
-            path = path
-                .join(component)
-                .map_err(|e| ServiceError::BadArgs(format!("bad path: {e}")))?;
-        }
-        Ok(path)
+        let user = (!trimmed.is_empty()).then(|| trimmed.split('/'));
+        NsPath::from_components(
+            FS_ROOT_COMPONENTS
+                .into_iter()
+                .chain(user.into_iter().flatten()),
+        )
+        .map_err(|e| ServiceError::BadArgs(format!("bad path: {e}")))
     }
 
     /// Creates a file with explicit protection, bypassing access checks
@@ -125,8 +123,7 @@ impl FsService {
     /// path) for creation, rejecting the fs root itself.
     fn split_for_create(user_path: &str) -> Result<(NsPath, String, NsPath), ServiceError> {
         let path = Self::node_path(user_path)?;
-        let root: NsPath = FS_ROOT.parse().expect("constant path");
-        if path == root {
+        if path.depth() == FS_ROOT_COMPONENTS.len() {
             return Err(ServiceError::BadArgs("cannot create the fs root".into()));
         }
         let parent = path.parent().expect("deeper than the fs root");
@@ -515,5 +512,33 @@ mod tests {
             "/obj/fs/a"
         );
         assert_eq!(FsService::node_path("").unwrap().to_string(), "/obj/fs");
+    }
+
+    #[test]
+    fn node_path_matches_joining_component_by_component() {
+        // The mapping as a parse of the root plus one `join` per user
+        // component, which the one-pass build must reproduce exactly.
+        fn by_joins(user_path: &str) -> Result<NsPath, ServiceError> {
+            let mut path: NsPath = FS_ROOT.parse().unwrap();
+            let trimmed = user_path.trim_matches('/');
+            if trimmed.is_empty() {
+                return Ok(path);
+            }
+            for component in trimmed.split('/') {
+                path = path
+                    .join(component)
+                    .map_err(|e| ServiceError::BadArgs(format!("bad path: {e}")))?;
+            }
+            Ok(path)
+        }
+        for user in ["", "/", "a", "a/b/", "a//b", ".", "a/../b", "x/y/z"] {
+            assert_eq!(FsService::node_path(user), by_joins(user), "{user:?}");
+        }
+        assert_eq!(
+            FsService::node_path("a//b"),
+            Err(ServiceError::BadArgs(
+                "bad path: bad path component \"\"".into()
+            ))
+        );
     }
 }

@@ -16,9 +16,9 @@ use extsec::campaign::{fail_closed, is_injected_denial};
 use extsec::faults::{self, FaultAction, FaultPlan};
 use extsec::server::{Client, ClientConfig, Server, ServerConfig};
 use extsec::{
-    AccessMode, Acl, AclEntry, Decision, ExtError, ExtRuntime, ExtensionManifest, HealthConfig,
-    Lattice, ModeSet, MonitorBuilder, MonitorConfig, NodeKind, NsPath, Origin, Protection,
-    ReferenceMonitor, SecurityClass, Subject,
+    AccessMode, Acl, AclEntry, CallCtx, Decision, ExtError, ExtRuntime, ExtensionManifest,
+    HealthConfig, Lattice, ModeSet, MonitorBuilder, MonitorConfig, NodeKind, NsPath, Origin,
+    Protection, ReferenceMonitor, SecurityClass, Service, ServiceError, Subject, Trap, Value,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -321,6 +321,126 @@ fn scripted_resolve_fault_denies_structurally() {
 
     // With the plan gone the grant is back — the fault left no residue.
     assert!(monitor.check(&alice, &path, AccessMode::Read).allowed());
+}
+
+/// A service answering 1 without touching the name space, so every
+/// `ns.resolve` hit of a crossing into it belongs to the gate.
+struct One;
+
+impl Service for One {
+    fn name(&self) -> &str {
+        "one"
+    }
+
+    fn invoke(
+        &self,
+        _ctx: &CallCtx<'_>,
+        _op: &str,
+        _args: &[Value],
+    ) -> Result<Option<Value>, ServiceError> {
+        Ok(Some(Value::Int(1)))
+    }
+}
+
+/// How often a crossing meets the `ns.resolve` fault point: every hit
+/// serves a zero delay, which the plan counts.
+fn resolve_hits(crossing: impl FnOnce()) -> u64 {
+    faults::install(FaultPlan::seeded(0).always("ns.resolve", FaultAction::Delay(Duration::ZERO)));
+    crossing();
+    faults::clear().delays
+}
+
+/// A syscall through a linked import meets `ns.resolve` exactly as often
+/// as the unlinked `call` of its target, cached or not, warm or cold,
+/// granted or denied. An error scripted at any of those hits fails the
+/// syscall closed, as a trap naming the fault, unless the name-walk
+/// fallback absorbs it; it never turns a denial into a grant.
+#[test]
+fn linked_syscalls_meet_resolve_faults_like_unlinked_calls() {
+    let _x = exclusive();
+    if !armed() {
+        return;
+    }
+    let src = r#"
+module probe
+import read = "/svc/fs/read" () -> int
+func main() -> int
+  syscall read
+  ret
+end
+export main = main
+"#;
+    let path = p("/svc/fs/read");
+    for cache in [false, true] {
+        let (monitor, alice, bob) = world();
+        monitor.set_config(MonitorConfig {
+            decision_cache: cache,
+            ..monitor.config()
+        });
+        let runtime = ExtRuntime::new(Arc::clone(&monitor));
+        // Bob's denied syscalls trap his runs; keep the breaker out of it.
+        runtime.set_health_config(HealthConfig {
+            fault_budget: 1_000,
+            window: Duration::from_secs(60),
+            cooldown: Duration::from_secs(5),
+        });
+        runtime.mount_service(p("/svc/fs"), Arc::new(One));
+        let id = runtime
+            .load(
+                extsec::vm::asm::assemble(src).unwrap(),
+                ExtensionManifest {
+                    name: "probe".into(),
+                    principal: alice.principal,
+                    origin: Origin::Local,
+                    static_class: None,
+                },
+            )
+            .unwrap();
+        let linked = |subject: &Subject| runtime.run(id, "main", &[], subject);
+        let unlinked = |subject: &Subject| runtime.call(subject, &path, &[]);
+        // A configuration swap is a mutation: the next check is a miss.
+        let cool = || monitor.set_config(monitor.config());
+        for subject in [&alice, &bob] {
+            for cold in [true, false] {
+                if cold {
+                    cool();
+                }
+                let call_hits = resolve_hits(|| drop(unlinked(subject)));
+                if cold {
+                    cool();
+                }
+                let syscall_hits = resolve_hits(|| drop(linked(subject)));
+                assert!(call_hits > 0);
+                assert_eq!(
+                    syscall_hits, call_hits,
+                    "cache {cache}, cold {cold}, {:?}",
+                    subject.principal
+                );
+            }
+
+            let oracle = linked(subject);
+            assert_eq!(oracle.is_ok(), subject == &alice);
+            let hits = resolve_hits(|| drop(linked(subject)));
+            let mut injected = 0;
+            for nth in 0..hits {
+                faults::install(FaultPlan::seeded(1).at("ns.resolve", nth, FaultAction::Error));
+                let got = linked(subject);
+                assert_eq!(faults::clear().errors, 1);
+                match &got {
+                    Err(ExtError::Trap(Trap::Host(msg)))
+                        if msg.contains("injected error at ns.resolve") =>
+                    {
+                        injected += 1
+                    }
+                    // The fallback walk absorbed the fault.
+                    _ => assert_eq!(got, oracle, "cache {cache}, hit {nth}"),
+                }
+            }
+            if subject == &alice {
+                assert!(injected > 0, "cache {cache}: no fault reached the gate");
+            }
+        }
+    }
 }
 
 #[test]
